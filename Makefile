@@ -98,11 +98,9 @@ storage-bench:
 	$(GO) test -bench BenchmarkStorageChurn -benchmem -benchtime 2x -run '^$$' . | tee BENCH_6.json
 
 # Metropolis-scale benchmark: 100k outputless jobs across 8 heterogeneous
-# grids in 200 submission waves, run serial and parallel (per-grid event
-# loops); the benchmark itself fails unless the two modes' result
-# fingerprints are bit-identical, so the timing comparison is of the same
-# computation. Two iterations so the in-benchmark determinism assertion
-# also compares fingerprints across runs.
+# grids in 200 submission waves on the single serial engine; the
+# benchmark itself fails unless every iteration reproduces the pinned
+# result fingerprint, so the timing is always of the same computation.
 scale-bench:
 	$(GO) test -bench BenchmarkFederationMetropolis -benchmem -benchtime 2x -run '^$$' . | tee BENCH_9.json
 
@@ -125,5 +123,5 @@ help:
 	@echo "  locality-bench   skewed replicas over a WAN, ranked    -> BENCH_4.json"
 	@echo "  wan-bench        contended per-pair WAN channels       -> BENCH_5.json"
 	@echo "  storage-bench    SE capacity churn, eviction, repair   -> BENCH_6.json"
-	@echo "  scale-bench      100k jobs x 8 grids, serial+parallel  -> BENCH_9.json"
+	@echo "  scale-bench      100k jobs x 8 grids, serial engine    -> BENCH_9.json"
 	@echo "  clean            remove BENCH_*.json"

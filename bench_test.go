@@ -365,26 +365,28 @@ func BenchmarkCampaignScale(b *testing.B) {
 		{ServiceParallelism: true, DataParallelism: true,
 			DataGroupSize: 8, DataGroupWindow: 2 * time.Minute},
 	}
-	build := func() campaign.Config {
-		cfg := campaign.Config{Grid: grid.DefaultConfig()}
+	build := func() []campaign.TenantSpec {
+		var specs []campaign.TenantSpec
 		for i := 0; i < nTenants; i++ {
-			cfg.Tenants = append(cfg.Tenants, campaign.TenantSpec{
+			specs = append(specs, campaign.TenantSpec{
 				Name:    fmt.Sprintf("t%02d", i),
 				Arrival: time.Duration(i) * time.Minute,
 				Opts:    mixes[i%len(mixes)],
 				Build:   campaign.SyntheticChain(nServices, nD, 2*time.Minute, 5),
 			})
 		}
-		return cfg
+		return specs
 	}
 	var first []time.Duration
 	var span time.Duration
 	var jobs int
 	for i := 0; i < b.N; i++ {
-		rep, err := campaign.Run(build())
+		eng := sim.NewEngine()
+		x, err := campaign.StartSite(eng, campaign.OnGrid(grid.New(eng, grid.DefaultConfig())), build(), campaign.Admission{})
 		if err != nil {
 			b.Fatal(err)
 		}
+		rep := x.Run()
 		makespans := make([]time.Duration, len(rep.Tenants))
 		for j, tr := range rep.Tenants {
 			if tr.Err != nil {
@@ -454,10 +456,11 @@ func BenchmarkFederationScale(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		rep, err := campaign.RunFederated(eng, fed, tenants())
+		x, err := campaign.StartSite(eng, campaign.OnFederation(fed), tenants(), campaign.Admission{})
 		if err != nil {
 			b.Fatal(err)
 		}
+		rep := x.Run()
 		makespans := make([]time.Duration, len(rep.Tenants))
 		for j, tr := range rep.Tenants {
 			if tr.Err != nil {
@@ -545,10 +548,11 @@ func BenchmarkFederationLocality(b *testing.B) {
 				Build:   campaign.SyntheticChainPlaced(nServices, nD, 2*time.Minute, 5, home, 1),
 			}
 		}
-		rep, err := campaign.RunFederated(eng, fed, specs)
+		x, err := campaign.StartSite(eng, campaign.OnFederation(fed), specs, campaign.Admission{})
 		if err != nil {
 			b.Fatal(err)
 		}
+		rep := x.Run()
 		makespans := make([]time.Duration, len(rep.Tenants))
 		for j, tr := range rep.Tenants {
 			if tr.Err != nil {
@@ -647,10 +651,11 @@ func BenchmarkFederationContention(b *testing.B) {
 				Build:   campaign.SyntheticChainPlaced(nServices, nD, 2*time.Minute, 5, home, 1),
 			}
 		}
-		rep, err := campaign.RunFederated(eng, fed, specs)
+		x, err := campaign.StartSite(eng, campaign.OnFederation(fed), specs, campaign.Admission{})
 		if err != nil {
 			b.Fatal(err)
 		}
+		rep := x.Run()
 		makespans := make([]time.Duration, len(rep.Tenants))
 		for j, tr := range rep.Tenants {
 			if tr.Err != nil {

@@ -101,7 +101,7 @@ func main() {
 	gc.StrictFIFOSubmit = *fifo
 	gc.BackgroundHorizon = *horizon
 
-	cfg := campaign.Config{Grid: gc}
+	var specs []campaign.TenantSpec
 	for i := 0; i < *tenants; i++ {
 		mix := mixes[i%len(mixes)]
 		ts := campaign.TenantSpec{
@@ -113,7 +113,7 @@ func main() {
 		if *adapt > 0 {
 			ts.Adapt = &campaign.AdaptiveGranularity{Interval: *adapt, MaxBatch: *items}
 		}
-		cfg.Tenants = append(cfg.Tenants, ts)
+		specs = append(specs, ts)
 	}
 
 	gate := "fair-share"
@@ -123,12 +123,13 @@ func main() {
 	fmt.Printf("campaign: %d tenants × %d-stage chains × %d items on the default grid (%s gate, seed %d)\n\n",
 		*tenants, *servs, *items, gate, *seed)
 
-	rep, err := campaign.Run(cfg)
+	eng := sim.NewEngine()
+	x, err := campaign.StartSite(eng, campaign.OnGrid(grid.New(eng, gc)), specs, campaign.Admission{})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "campaign:", err)
 		os.Exit(1)
 	}
-	printReport(rep, *showAdpt)
+	printReport(x.Run(), *showAdpt)
 }
 
 // runScenario compiles and runs one spec file with CLI overrides applied,
@@ -151,12 +152,12 @@ func runScenario(path string, ov scenario.Overrides, showAdpt bool) {
 	}
 	fmt.Printf("campaign: scenario %s — %d tenants over %d grids (seed %d)\n\n",
 		spec.Name, spec.TenantCount(), len(spec.GridNames()), spec.Seed)
-	rep, err := w.Run()
+	x, err := w.Start()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "campaign:", err)
 		os.Exit(1)
 	}
-	printReport(rep, showAdpt)
+	printReport(x.Run(), showAdpt)
 }
 
 // printReport prints the per-tenant makespan/overhead table and the

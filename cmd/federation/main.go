@@ -315,13 +315,13 @@ func runScenario(path string, ov scenario.Overrides, verbose bool) {
 		fmt.Printf("scenario %s\n", spec.Name)
 	}
 	fmt.Printf("%d grids, %d tenants, seed %d\n\n", len(spec.GridNames()), spec.TenantCount(), spec.Seed)
-	rep, err := w.Run()
+	x, err := w.Start()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "federation:", err)
 		os.Exit(1)
 	}
 	header("scenario", 20)
-	row(spec.Name, 20, rep, w.Fed)
+	row(spec.Name, 20, x.Run(), w.Fed)
 	if verbose {
 		printVerbose(w.Fed)
 	}
@@ -354,12 +354,12 @@ func scenarioTable(pattern string) {
 			fmt.Fprintln(os.Stderr, "federation:", err)
 			os.Exit(1)
 		}
-		rep, err := w.Run()
+		x, err := w.Start()
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "federation:", err)
 			os.Exit(1)
 		}
-		row(spec.Name, 20, rep, w.Fed)
+		row(spec.Name, 20, x.Run(), w.Fed)
 	}
 }
 
@@ -487,12 +487,12 @@ func (s sweep) run(policy federation.Policy) (*campaign.Report, *federation.Fede
 			Build:   campaign.SyntheticChainPlaced(s.servs, s.items, s.runtime, s.fileMB, home, s.skew),
 		}
 	}
-	rep, err := campaign.RunFederated(eng, fed, specs)
+	x, err := campaign.StartSite(eng, campaign.OnFederation(fed), specs, campaign.Admission{})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "federation:", err)
 		os.Exit(1)
 	}
-	return rep, fed
+	return x.Run(), fed
 }
 
 // localitySweep maps campaign span/p95 and WAN traffic over replica skew ×

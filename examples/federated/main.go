@@ -40,10 +40,11 @@ func main() {
 			Build:   campaign.SyntheticChainPlaced(3, 10, 2*time.Minute, 5, home, 1),
 		}
 	}
-	rep, err := campaign.RunFederated(eng, fed, tenants)
+	x, err := campaign.StartSite(eng, campaign.OnFederation(fed), tenants, campaign.Admission{})
 	if err != nil {
 		panic(err)
 	}
+	rep := x.Run()
 	for _, tr := range rep.Tenants {
 		fmt.Printf("%s: makespan %v, %d jobs, overhead p90 %v\n",
 			tr.Name, tr.Makespan.Round(time.Second),

@@ -50,10 +50,12 @@ func main() {
 func run(tenants []moteur.CampaignTenant, strictFIFO bool) *moteur.CampaignReport {
 	gc := moteur.DefaultGridConfig()
 	gc.StrictFIFOSubmit = strictFIFO
-	rep, err := moteur.RunCampaign(moteur.Campaign{Grid: gc, Tenants: tenants})
+	eng := moteur.NewEngine()
+	x, err := moteur.StartCampaign(eng, moteur.CampaignOnGrid(moteur.NewGrid(eng, gc)), tenants, moteur.CampaignAdmission{})
 	if err != nil {
 		log.Fatal(err)
 	}
+	rep := x.Run()
 	for _, tr := range rep.Tenants {
 		if tr.Err != nil {
 			log.Fatalf("tenant %s: %v", tr.Name, tr.Err)

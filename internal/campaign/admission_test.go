@@ -22,12 +22,9 @@ func admissionLoad() []TenantSpec {
 	}
 }
 
-func runAdmission(t *testing.T, cfg Config) map[string]TenantResult {
+func runAdmission(t *testing.T, adm Admission) map[string]TenantResult {
 	t.Helper()
-	rep, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := runGrid(t, testGrid(64), admissionLoad(), adm)
 	out := make(map[string]TenantResult, len(rep.Tenants))
 	for _, tr := range rep.Tenants {
 		out[tr.Name] = tr
@@ -41,13 +38,8 @@ func runAdmission(t *testing.T, cfg Config) map[string]TenantResult {
 // and makespan both improve against the ungated run. The delayed burst
 // pays for it honestly in its own AdmissionDelay.
 func TestAdmissionProtectsSteadyTenant(t *testing.T) {
-	ungated := runAdmission(t, Config{Grid: testGrid(64), Tenants: admissionLoad()})
-	gated := runAdmission(t, Config{
-		Grid:           testGrid(64),
-		Tenants:        admissionLoad(),
-		MaxUIBacklog:   25,
-		AdmissionRetry: 30 * time.Second,
-	})
+	ungated := runAdmission(t, Admission{})
+	gated := runAdmission(t, Admission{MaxUIBacklog: 25, Retry: 30 * time.Second})
 
 	for name, tr := range gated {
 		if tr.Err != nil {
@@ -69,23 +61,14 @@ func TestAdmissionProtectsSteadyTenant(t *testing.T) {
 }
 
 // TestAdmissionRejectsAfterMaxDelay pins the rejection path: a tenant
-// that waits out AdmissionMaxDelay against a still-saturated UI is turned
+// that waits out Admission.MaxDelay against a still-saturated UI is turned
 // away with ErrAdmissionRejected while the rest of the campaign
 // completes.
 func TestAdmissionRejectsAfterMaxDelay(t *testing.T) {
-	rep, err := Run(Config{
-		Grid: testGrid(64),
-		Tenants: []TenantSpec{
-			{Name: "flood", Opts: spdp(), Build: SyntheticChain(1, 200, 10*time.Minute, 1)},
-			{Name: "late", Arrival: 2 * time.Minute, Opts: spdp(), Build: SyntheticChain(1, 5, 30*time.Second, 1)},
-		},
-		MaxUIBacklog:      10,
-		AdmissionRetry:    30 * time.Second,
-		AdmissionMaxDelay: 2 * time.Minute,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := runGrid(t, testGrid(64), []TenantSpec{
+		{Name: "flood", Opts: spdp(), Build: SyntheticChain(1, 200, 10*time.Minute, 1)},
+		{Name: "late", Arrival: 2 * time.Minute, Opts: spdp(), Build: SyntheticChain(1, 5, 30*time.Second, 1)},
+	}, Admission{MaxUIBacklog: 10, Retry: 30 * time.Second, MaxDelay: 2 * time.Minute})
 	var flood, late TenantResult
 	for _, tr := range rep.Tenants {
 		switch tr.Name {

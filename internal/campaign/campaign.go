@@ -3,9 +3,11 @@
 // shared infrastructure — the regime the paper's findings live in, where
 // "the increasing load of the middleware services on a production
 // infrastructure cannot be neglected" because many users submit at once.
-// The infrastructure is a Site: one shared grid.Grid (Run, RunOn) or a
+// The infrastructure is a Site: one shared grid.Grid (OnGrid) or a
 // multi-grid federation.Federation whose broker policy spreads each
-// tenant's jobs across member grids (RunFederated).
+// tenant's jobs across member grids (OnFederation). StartSite schedules
+// the campaign on an engine and returns its Execution, which the caller
+// drives to completion (Execution.Run) or steps incrementally.
 //
 // Each tenant gets its own core.Enactor (independent Options, its own
 // workflow and input set) and a grid.Tenant submission handle; all
@@ -32,7 +34,6 @@ package campaign
 import (
 	"errors"
 	"fmt"
-	"reflect"
 	"time"
 
 	"repro/internal/core"
@@ -157,34 +158,16 @@ type TenantSpec struct {
 	Adapt *AdaptiveGranularity
 }
 
-// Config assembles a campaign.
-type Config struct {
-	// Grid is the shared infrastructure model. Zero value:
-	// grid.DefaultConfig.
-	Grid    grid.Config
-	Tenants []TenantSpec
-	// MaxUIBacklog enables admission control: a tenant arriving while the
-	// site's UI backlog (Site.UIBacklog) exceeds the threshold is held
-	// back and re-checked every AdmissionRetry until the backlog drains —
-	// protecting the tenants already running from yet another burst
-	// landing on a saturated serialized UI. Zero disables admission
-	// control.
-	MaxUIBacklog int
-	// AdmissionRetry is the virtual period between admission re-checks of
-	// a held-back tenant. Zero means 30 s.
-	AdmissionRetry time.Duration
-	// AdmissionMaxDelay bounds how long a tenant may be held back: once
-	// it has waited this long and the backlog is still above threshold,
-	// the tenant is rejected with ErrAdmissionRejected instead of delayed
-	// further. Zero means tenants are delayed indefinitely (they always
-	// start eventually — the backlog drains as running tenants finish).
-	AdmissionMaxDelay time.Duration
-}
-
-// Admission is the arrival-gating policy of a campaign, the resolved form
-// of Config's MaxUIBacklog/AdmissionRetry/AdmissionMaxDelay knobs for
-// callers driving RunSiteAdmitted directly (federated campaigns included).
-// The zero value disables admission control.
+// Admission is the arrival-gating policy of a campaign. A tenant whose
+// arrival instant finds the site's UI backlog (Site.UIBacklog) above
+// MaxUIBacklog is held back and re-checked every Retry, starting only
+// once the backlog has drained below the threshold (or rejected with
+// ErrAdmissionRejected after MaxDelay of waiting) — protecting the
+// tenants already running from yet another burst landing on a saturated
+// serialized UI. The tenant's Makespan still counts from its specified
+// Arrival, so admission delay shows up honestly in the delayed tenant's
+// own numbers while the protected tenants' overheads improve. The zero
+// value disables admission control.
 type Admission struct {
 	// MaxUIBacklog is the UI-backlog threshold above which arrivals are
 	// held back (zero disables gating).
@@ -198,7 +181,7 @@ type Admission struct {
 }
 
 // ErrAdmissionRejected reports a tenant turned away by admission control:
-// it waited AdmissionMaxDelay and the UI backlog still exceeded the
+// it waited Admission.MaxDelay and the UI backlog still exceeded the
 // threshold.
 var ErrAdmissionRejected = errors.New("campaign: tenant rejected by admission control")
 
@@ -244,24 +227,6 @@ type Report struct {
 	GlobalPhases grid.PhaseStats
 }
 
-// Run builds a fresh engine and grid from cfg and enacts all tenants on
-// them. Tenant-level failures (a failing service, a stalled workflow) are
-// reported per tenant, not as a Run error; Run errors are configuration
-// problems.
-func Run(cfg Config) (*Report, error) {
-	if reflect.DeepEqual(cfg.Grid, grid.Config{}) {
-		cfg.Grid = grid.DefaultConfig()
-	} else if len(cfg.Grid.Clusters) == 0 {
-		// A partially-filled config with no clusters is almost certainly a
-		// mistake; silently substituting DefaultConfig would discard the
-		// caller's seed and gate policy.
-		return nil, fmt.Errorf("campaign: grid config has no clusters (leave Grid entirely zero for the default grid)")
-	}
-	eng := sim.NewEngine()
-	return RunSiteAdmitted(eng, OnGrid(grid.New(eng, cfg.Grid)), cfg.Tenants,
-		Admission{MaxUIBacklog: cfg.MaxUIBacklog, Retry: cfg.AdmissionRetry, MaxDelay: cfg.AdmissionMaxDelay})
-}
-
 // tenantRun is the mutable state of one tenant during a campaign.
 type tenantRun struct {
 	spec        *TenantSpec
@@ -276,54 +241,12 @@ type tenantRun struct {
 	adaptations []Adaptation
 }
 
-// RunOn enacts the tenants on an existing engine and shared grid. It is
-// RunSite over OnGrid(g), kept as the single-grid entry point for callers
-// that want to inspect the grid afterwards or share it with other
-// activity.
-func RunOn(eng *sim.Engine, g *grid.Grid, specs []TenantSpec) (*Report, error) {
-	return RunSite(eng, OnGrid(g), specs)
-}
-
-// RunFederated enacts the tenants on an existing engine and federation:
-// every tenant's jobs are brokered across the federation's member grids
-// by its policy. It is RunSite over OnFederation(f).
-func RunFederated(eng *sim.Engine, f *federation.Federation, specs []TenantSpec) (*Report, error) {
-	return RunSite(eng, OnFederation(f), specs)
-}
-
-// RunSite enacts the tenants on an existing engine and site, stepping the
-// engine until every tenant reaches a terminal state (or the event queue
-// drains, which marks the unfinished tenants as stalled). It is the
-// building block RunOn and RunFederated share; RunSiteAdmitted adds
-// arrival gating.
-func RunSite(eng *sim.Engine, site Site, specs []TenantSpec) (*Report, error) {
-	return RunSiteAdmitted(eng, site, specs, Admission{})
-}
-
-// RunSiteAdmitted is RunSite with admission control: a tenant whose
-// arrival instant finds the site's UI backlog above adm.MaxUIBacklog is
-// held back and re-checked every adm.Retry, starting only once the
-// backlog has drained below the threshold (or rejected with
-// ErrAdmissionRejected after adm.MaxDelay of waiting). The tenant's
-// Makespan still counts from its specified Arrival, so admission delay
-// shows up honestly in the delayed tenant's own numbers while the
-// protected tenants' overheads improve.
-func RunSiteAdmitted(eng *sim.Engine, site Site, specs []TenantSpec, adm Admission) (*Report, error) {
-	x, err := StartSite(eng, site, specs, adm)
-	if err != nil {
-		return nil, err
-	}
-	for !x.Done() && eng.Step() {
-	}
-	return x.Report(), nil
-}
-
 // Execution is a campaign in flight: every tenant arrival, admission
 // re-check and adaptive tick has been scheduled on the engine by
-// StartSite, but the engine itself is driven by the caller — one Step at
-// a time, in paced RunUntil windows, or to completion. It is the
-// incremental form of RunSiteAdmitted that long-running drivers (the
-// online broker daemon) interleave with external event injection.
+// StartSite, but the engine itself is driven by the caller — to
+// completion with Run, or one Step at a time (in paced RunUntil windows)
+// interleaved with external event injection, as the online broker
+// daemon does.
 type Execution struct {
 	eng          *sim.Engine
 	site         Site
@@ -371,6 +294,16 @@ func (x *Execution) Tenants() []TenantStatus {
 	return out
 }
 
+// Run steps the engine until every tenant reaches a terminal state (or
+// the event queue drains, which marks the unfinished tenants as stalled)
+// and returns the Report. Tenant-level failures (a failing service, a
+// stalled workflow) are reported per tenant.
+func (x *Execution) Run() *Report {
+	for !x.Done() && x.eng.Step() {
+	}
+	return x.Report()
+}
+
 // Report renders the campaign outcome. Tenants that have not reached a
 // terminal state are reported as stalled, so call it once Done() — or
 // once the engine has drained, which is what stalling means.
@@ -406,12 +339,11 @@ func (x *Execution) Report() *Report {
 }
 
 // StartSite schedules a campaign on the engine without driving it: every
-// tenant's arrival (behind the admission gate) and adaptive-granularity
-// loop is armed, and the returned Execution tracks progress as the
-// caller steps the engine. RunSiteAdmitted is exactly StartSite followed
-// by stepping until Done and a Report; incremental drivers interleave
-// their own events — external submissions, outage commands — between
-// steps instead.
+// tenant's arrival (behind the admission gate adm) and
+// adaptive-granularity loop is armed, and the returned Execution tracks
+// progress as the caller steps the engine. Arrivals are relative to the
+// engine's current instant, so the engine's clock may already have
+// advanced. Errors are configuration problems.
 func StartSite(eng *sim.Engine, site Site, specs []TenantSpec, adm Admission) (*Execution, error) {
 	if len(specs) == 0 {
 		return nil, fmt.Errorf("campaign: no tenants")
@@ -458,8 +390,8 @@ func StartSite(eng *sim.Engine, site Site, specs []TenantSpec, adm Admission) (*
 		r := &tenantRun{spec: ts, tenant: th, en: en, inputs: inputs}
 		x.runners[i] = r
 		// Arrivals are relative to the campaign start (the engine's
-		// current instant), so RunOn works on an engine whose clock has
-		// already advanced.
+		// current instant), so a campaign may start on an engine whose
+		// clock has already advanced.
 		retry := adm.Retry
 		if retry <= 0 {
 			retry = 30 * time.Second
@@ -504,8 +436,8 @@ func StartSite(eng *sim.Engine, site Site, specs []TenantSpec, adm Admission) (*
 // pendingTicks counts the campaign's scheduled ticks across all tenants:
 // a tick only re-arms while events other than the campaign's own ticks
 // are pending, so a stalled tenant's loop cannot keep the engine alive
-// forever (RunOn would otherwise never see the queue drain and never
-// report the stall).
+// forever (Execution.Run would otherwise never see the queue drain and
+// never report the stall).
 func scheduleAdapt(eng *sim.Engine, site Site, r *tenantRun, nTenants int, campaignStart sim.Time, pendingTicks *int) {
 	var tick func()
 	arm := func() {

@@ -32,18 +32,24 @@ func spdp() core.Options {
 	return core.Options{DataParallelism: true, ServiceParallelism: true}
 }
 
+// runGrid enacts the tenants on a fresh engine and a shared grid built
+// from gc, under the admission gate adm.
+func runGrid(t *testing.T, gc grid.Config, specs []TenantSpec, adm Admission) *Report {
+	t.Helper()
+	eng := sim.NewEngine()
+	x, err := StartSite(eng, OnGrid(grid.New(eng, gc)), specs, adm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return x.Run()
+}
+
 func TestCampaignSingleTenantMatchesSoloRun(t *testing.T) {
 	// One tenant in a campaign behaves exactly like a solo enactor run on
 	// an identical grid: same makespan, same output count.
 	build := SyntheticChain(3, 5, 10*time.Second, 1)
 
-	rep, err := Run(Config{
-		Grid:    testGrid(16),
-		Tenants: []TenantSpec{{Name: "solo", Opts: spdp(), Build: build}},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := runGrid(t, testGrid(16), []TenantSpec{{Name: "solo", Opts: spdp(), Build: build}}, Admission{})
 	tr := rep.Tenants[0]
 	if tr.Err != nil {
 		t.Fatal(tr.Err)
@@ -73,8 +79,9 @@ func TestCampaignSingleTenantMatchesSoloRun(t *testing.T) {
 
 func TestCampaignDeterminism(t *testing.T) {
 	run := func() []time.Duration {
-		cfg := Config{Grid: testGrid(32)}
-		cfg.Grid.Seed = 42
+		gc := testGrid(32)
+		gc.Seed = 42
+		var specs []TenantSpec
 		mixes := []core.Options{
 			{},
 			spdp(),
@@ -82,17 +89,14 @@ func TestCampaignDeterminism(t *testing.T) {
 			{DataParallelism: true, ServiceParallelism: true, DataGroupSize: 3, DataGroupWindow: time.Minute},
 		}
 		for i, opts := range mixes {
-			cfg.Tenants = append(cfg.Tenants, TenantSpec{
+			specs = append(specs, TenantSpec{
 				Name:    []string{"t0", "t1", "t2", "t3"}[i],
 				Arrival: time.Duration(i) * 30 * time.Second,
 				Opts:    opts,
 				Build:   SyntheticChain(3, 6, 20*time.Second, 2),
 			})
 		}
-		rep, err := Run(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
+		rep := runGrid(t, gc, specs, Admission{})
 		out := make([]time.Duration, len(rep.Tenants))
 		for i, tr := range rep.Tenants {
 			if tr.Err != nil {
@@ -126,18 +130,15 @@ func TestCampaignFairShare(t *testing.T) {
 		Build: SyntheticChain(1, 150, 30*time.Second, 1),
 	}
 	run := func(withBurst, strictFIFO bool) time.Duration {
-		cfg := Config{Grid: testGrid(64)}
-		cfg.Grid.StrictFIFOSubmit = strictFIFO
-		cfg.Tenants = []TenantSpec{steady}
+		gc := testGrid(64)
+		gc.StrictFIFOSubmit = strictFIFO
+		specs := []TenantSpec{steady}
 		if withBurst {
 			// The burst arrives first so its whole queue is already in
 			// front of the UI when the steady tenant shows up.
-			cfg.Tenants = []TenantSpec{burst, steady}
+			specs = []TenantSpec{burst, steady}
 		}
-		rep, err := Run(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
+		rep := runGrid(t, gc, specs, Admission{})
 		for _, tr := range rep.Tenants {
 			if tr.Err != nil {
 				t.Fatalf("tenant %s: %v", tr.Name, tr.Err)
@@ -174,19 +175,19 @@ func TestCampaignFairShare(t *testing.T) {
 // properties: per-tenant overhead stats are disjoint and sum-consistent
 // with the global Grid.Overheads.
 func TestCampaignTenantStatsIsolation(t *testing.T) {
-	cfg := Config{Grid: testGrid(32)}
-	cfg.Grid.Failures = grid.FailureConfig{Probability: 0.3, DetectDelay: 30 * time.Second, MaxRetries: 8}
-	cfg.Grid.Seed = 7
-	cfg.Tenants = []TenantSpec{
+	gc := testGrid(32)
+	gc.Failures = grid.FailureConfig{Probability: 0.3, DetectDelay: 30 * time.Second, MaxRetries: 8}
+	gc.Seed = 7
+	eng := sim.NewEngine()
+	g := grid.New(eng, gc)
+	x, err := StartSite(eng, OnGrid(g), []TenantSpec{
 		{Name: "alpha", Opts: spdp(), Build: SyntheticChain(2, 10, 20*time.Second, 1)},
 		{Name: "beta", Opts: core.Options{DataParallelism: true}, Build: SyntheticChain(3, 6, 15*time.Second, 1)},
-	}
-	eng := sim.NewEngine()
-	g := grid.New(eng, cfg.Grid)
-	rep, err := RunOn(eng, g, cfg.Tenants)
+	}, Admission{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	rep := x.Run()
 	for _, tr := range rep.Tenants {
 		if tr.Err != nil {
 			t.Fatalf("tenant %s: %v", tr.Name, tr.Err)
@@ -230,18 +231,17 @@ func TestCampaignTenantStatsIsolation(t *testing.T) {
 }
 
 func TestCampaignArrivalWaves(t *testing.T) {
-	cfg := Config{Grid: testGrid(16)}
 	arrival := 10 * time.Minute
-	cfg.Tenants = []TenantSpec{
+	eng := sim.NewEngine()
+	g := grid.New(eng, testGrid(16))
+	x, err := StartSite(eng, OnGrid(g), []TenantSpec{
 		{Name: "early", Opts: spdp(), Build: SyntheticChain(2, 3, 10*time.Second, 1)},
 		{Name: "late", Arrival: arrival, Opts: spdp(), Build: SyntheticChain(2, 3, 10*time.Second, 1)},
-	}
-	eng := sim.NewEngine()
-	g := grid.New(eng, cfg.Grid)
-	rep, err := RunOn(eng, g, cfg.Tenants)
+	}, Admission{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	rep := x.Run()
 	late := rep.Tenants[1]
 	if late.Err != nil {
 		t.Fatal(late.Err)
@@ -267,8 +267,9 @@ func TestCampaignAdaptiveGranularity(t *testing.T) {
 	gc := testGrid(64)
 	gc.Overheads.SubmitMean = 60 * time.Second
 	gc.Overheads.DispatchMean = 5 * time.Minute
-	cfg := Config{Grid: gc}
-	cfg.Tenants = []TenantSpec{{
+	eng := sim.NewEngine()
+	gr := grid.New(eng, gc)
+	x, err := StartSite(eng, OnGrid(gr), []TenantSpec{{
 		Name: "adaptive",
 		Opts: core.Options{
 			DataParallelism:    true,
@@ -277,11 +278,11 @@ func TestCampaignAdaptiveGranularity(t *testing.T) {
 		},
 		Build: SyntheticChain(2, 40, 5*time.Second, 1),
 		Adapt: &AdaptiveGranularity{Interval: 4 * time.Minute, MaxBatch: 16},
-	}}
-	rep, err := Run(cfg)
+	}}, Admission{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	rep := x.Run()
 	tr := rep.Tenants[0]
 	if tr.Err != nil {
 		t.Fatal(tr.Err)
@@ -305,28 +306,15 @@ func TestCampaignAdaptiveGranularity(t *testing.T) {
 		t.Fatalf("sink items = %d, want 40", got)
 	}
 	// Batching must show up as fewer grid jobs than the unbatched 2×40.
-	if jobs := len(g(t, cfg).Records()); jobs >= 80 {
+	if jobs := len(gr.Records()); jobs >= 80 {
 		t.Fatalf("adaptive batching submitted %d jobs, want fewer than the 80 unbatched ones", jobs)
 	}
-}
-
-// g re-runs the campaign on a fresh engine+grid and returns the grid, for
-// assertions on submission counts.
-func g(t *testing.T, cfg Config) *grid.Grid {
-	t.Helper()
-	eng := sim.NewEngine()
-	gr := grid.New(eng, cfg.Grid)
-	if _, err := RunOn(eng, gr, cfg.Tenants); err != nil {
-		t.Fatal(err)
-	}
-	return gr
 }
 
 func TestCampaignTenantFailureIsIsolated(t *testing.T) {
 	// One tenant references a file that is not in the catalog: its run
 	// fails, the other tenant is unaffected.
-	cfg := Config{Grid: testGrid(16)}
-	cfg.Tenants = []TenantSpec{
+	rep := runGrid(t, testGrid(16), []TenantSpec{
 		{Name: "ok", Opts: spdp(), Build: SyntheticChain(2, 3, 10*time.Second, 1)},
 		{Name: "doomed", Opts: spdp(), Build: func(th Handle) (*workflow.Workflow, map[string][]string, error) {
 			wf, _, err := SyntheticChain(1, 1, 10*time.Second, 1)(th)
@@ -336,11 +324,7 @@ func TestCampaignTenantFailureIsIsolated(t *testing.T) {
 			// Point the source at a GFN that was never registered.
 			return wf, map[string][]string{"src": {"gfn://doomed/missing"}}, nil
 		}},
-	}
-	rep, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	}, Admission{})
 	if rep.Tenants[0].Err != nil {
 		t.Fatalf("healthy tenant failed: %v", rep.Tenants[0].Err)
 	}
@@ -366,25 +350,26 @@ func TestCampaignConfigValidation(t *testing.T) {
 		{"bad adapt", []TenantSpec{{Name: "x", Build: ok, Adapt: &AdaptiveGranularity{}}}},
 	}
 	for _, c := range cases {
-		if _, err := Run(Config{Grid: testGrid(4), Tenants: c.tenants}); err == nil {
+		eng := sim.NewEngine()
+		if _, err := StartSite(eng, OnGrid(grid.New(eng, testGrid(4))), c.tenants, Admission{}); err == nil {
 			t.Errorf("%s: no error", c.name)
 		}
 	}
 }
 
-// TestRunOnAdvancedEngine: RunOn must work on an engine whose clock has
-// already moved — arrivals are relative to the campaign start.
+// TestRunOnAdvancedEngine: a campaign must run on an engine whose clock
+// has already moved — arrivals are relative to the campaign start.
 func TestRunOnAdvancedEngine(t *testing.T) {
 	eng := sim.NewEngine()
 	g := grid.New(eng, testGrid(16))
 	eng.RunUntil(sim.Time(time.Hour))
-	rep, err := RunOn(eng, g, []TenantSpec{
+	x, err := StartSite(eng, OnGrid(g), []TenantSpec{
 		{Name: "later", Opts: spdp(), Build: SyntheticChain(2, 3, 10*time.Second, 1)},
-	})
+	}, Admission{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr := rep.Tenants[0]
+	tr := x.Run().Tenants[0]
 	if tr.Err != nil {
 		t.Fatal(tr.Err)
 	}
@@ -427,8 +412,9 @@ func TestSetDataGroupSizeBeforeStart(t *testing.T) {
 // TestCampaignFailedTenantStopsSubmitting: after a tenant's run fails,
 // it must not keep feeding jobs into the shared grid.
 func TestCampaignFailedTenantStopsSubmitting(t *testing.T) {
-	cfg := Config{Grid: testGrid(32)}
-	cfg.Tenants = []TenantSpec{
+	eng := sim.NewEngine()
+	g := grid.New(eng, testGrid(32))
+	x, err := StartSite(eng, OnGrid(g), []TenantSpec{
 		{Name: "doomed", Opts: spdp(), Build: func(th Handle) (*workflow.Workflow, map[string][]string, error) {
 			wf, _, err := SyntheticChain(4, 20, 10*time.Second, 1)(th)
 			if err != nil {
@@ -442,13 +428,11 @@ func TestCampaignFailedTenantStopsSubmitting(t *testing.T) {
 			inputs[0] = "gfn://doomed/missing"
 			return wf, map[string][]string{"src": inputs}, nil
 		}},
-	}
-	eng := sim.NewEngine()
-	g := grid.New(eng, cfg.Grid)
-	rep, err := RunOn(eng, g, cfg.Tenants)
+	}, Admission{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	rep := x.Run()
 	if rep.Tenants[0].Err == nil {
 		t.Fatal("doomed tenant reported no error")
 	}
@@ -460,22 +444,28 @@ func TestCampaignFailedTenantStopsSubmitting(t *testing.T) {
 	}
 }
 
+// TestRunRejectsClusterlessNonZeroGrid: a partially-filled grid config
+// with no clusters is refused, never silently replaced by the default
+// grid (which would discard the caller's seed and gate policy). Building
+// the campaign's site is where the refusal happens.
 func TestRunRejectsClusterlessNonZeroGrid(t *testing.T) {
-	cfg := Config{
-		Grid:    grid.Config{Seed: 42, StrictFIFOSubmit: true}, // no clusters, not zero
-		Tenants: []TenantSpec{{Name: "x", Build: SyntheticChain(1, 1, time.Second, 1)}},
-	}
-	if _, err := Run(cfg); err == nil {
-		t.Fatal("cluster-less non-zero grid config accepted")
-	}
+	gc := grid.Config{Seed: 42, StrictFIFOSubmit: true} // no clusters, not zero
+	defer func() {
+		if recover() == nil {
+			t.Fatal("cluster-less non-zero grid config accepted")
+		}
+	}()
+	eng := sim.NewEngine()
+	StartSite(eng, OnGrid(grid.New(eng, gc)), []TenantSpec{{Name: "x", Build: SyntheticChain(1, 1, time.Second, 1)}}, Admission{})
 }
 
 // TestCampaignBatchedFailureStopsSubmitting: a pending DataGroupWindow
 // flush timer of a failed tenant must not submit its held batch to the
 // shared grid.
 func TestCampaignBatchedFailureStopsSubmitting(t *testing.T) {
-	cfg := Config{Grid: testGrid(16)}
-	cfg.Tenants = []TenantSpec{{
+	eng := sim.NewEngine()
+	g := grid.New(eng, testGrid(16))
+	x, err := StartSite(eng, OnGrid(g), []TenantSpec{{
 		Name: "batched",
 		Opts: core.Options{
 			DataParallelism:    true,
@@ -493,13 +483,11 @@ func TestCampaignBatchedFailureStopsSubmitting(t *testing.T) {
 			inputs["src"][0] = "gfn://batched/missing"
 			return wf, inputs, nil
 		},
-	}}
-	eng := sim.NewEngine()
-	g := grid.New(eng, cfg.Grid)
-	rep, err := RunOn(eng, g, cfg.Tenants)
+	}}, Admission{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	rep := x.Run()
 	if rep.Tenants[0].Err == nil {
 		t.Fatal("poisoned batch did not fail the tenant")
 	}
@@ -512,7 +500,7 @@ func TestCampaignBatchedFailureStopsSubmitting(t *testing.T) {
 
 // TestCampaignStalledAdaptiveTenantTerminates: an adaptive tenant whose
 // workflow stalls must not keep the engine alive through its own retuning
-// ticks — RunOn has to return and report the stall.
+// ticks — Execution.Run has to return and report the stall.
 func TestCampaignStalledAdaptiveTenantTerminates(t *testing.T) {
 	stalling := func(th Handle) (*workflow.Workflow, map[string][]string, error) {
 		eng := th.Engine()
@@ -543,18 +531,12 @@ func TestCampaignStalledAdaptiveTenantTerminates(t *testing.T) {
 		w.Constrain("starved", "gated") // starved never drains: expects 2, gets 1
 		return w, map[string][]string{"src": {"a", "b"}}, nil
 	}
-	rep, err := Run(Config{
-		Grid: testGrid(8),
-		Tenants: []TenantSpec{{
-			Name:  "stuck",
-			Opts:  spdp(),
-			Build: stalling,
-			Adapt: &AdaptiveGranularity{Interval: time.Minute},
-		}},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := runGrid(t, testGrid(8), []TenantSpec{{
+		Name:  "stuck",
+		Opts:  spdp(),
+		Build: stalling,
+		Adapt: &AdaptiveGranularity{Interval: time.Minute},
+	}}, Admission{})
 	if !errors.Is(rep.Tenants[0].Err, core.ErrStalled) {
 		t.Fatalf("tenant err = %v, want ErrStalled", rep.Tenants[0].Err)
 	}

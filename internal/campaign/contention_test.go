@@ -132,10 +132,11 @@ func TestCampaignSurvivesGridOutage(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rep, err := RunFederated(eng, f, localityTenants(12, 1))
+		x, err := StartSite(eng, OnFederation(f), localityTenants(12, 1), Admission{})
 		if err != nil {
 			t.Fatal(err)
 		}
+		rep := x.Run()
 		return rep, f
 	}
 	rep, f := run([]federation.Outage{{Grid: dark, At: downAt, For: upFor}})

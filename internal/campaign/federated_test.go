@@ -51,10 +51,11 @@ func runFederated(t *testing.T, policy federation.Policy) (*Report, *federation.
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := RunFederated(eng, f, fedTenants(16))
+	x, err := StartSite(eng, OnFederation(f), fedTenants(16), Admission{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	rep := x.Run()
 	for _, tr := range rep.Tenants {
 		if tr.Err != nil {
 			t.Fatalf("tenant %s: %v", tr.Name, tr.Err)
@@ -164,10 +165,11 @@ func TestFederatedCampaignGolden(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rep, err := RunFederated(eng, f, fedTenants(6))
+		x, err := StartSite(eng, OnFederation(f), fedTenants(6), Admission{})
 		if err != nil {
 			t.Fatal(err)
 		}
+		rep := x.Run()
 		for _, tr := range rep.Tenants {
 			if tr.Err != nil {
 				t.Fatalf("tenant %s: %v", tr.Name, tr.Err)

@@ -61,10 +61,11 @@ func runLocality(t *testing.T, policy federation.Policy, links grid.LinkModel, s
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := RunFederated(eng, f, localityTenants(12, skew))
+	x, err := StartSite(eng, OnFederation(f), localityTenants(12, skew), Admission{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	rep := x.Run()
 	for _, tr := range rep.Tenants {
 		if tr.Err != nil {
 			t.Fatalf("tenant %s: %v", tr.Name, tr.Err)
@@ -136,10 +137,11 @@ func TestUniformReplicasNoRegression(t *testing.T) {
 				Build:   SyntheticChain(1, 8, 20*time.Second, 20),
 			}
 		}
-		rep, err := RunFederated(eng, f, specs)
+		x, err := StartSite(eng, OnFederation(f), specs, Admission{})
 		if err != nil {
 			t.Fatal(err)
 		}
+		rep := x.Run()
 		for _, tr := range rep.Tenants {
 			if tr.Err != nil {
 				t.Fatalf("tenant %s: %v", tr.Name, tr.Err)
@@ -215,10 +217,11 @@ func TestFederatedLocalityGolden(t *testing.T) {
 				Build:   SyntheticChainPlaced(3, 8, 20*time.Second, 10, home, 1),
 			}
 		}
-		rep, err := RunFederated(eng, f, specs)
+		x, err := StartSite(eng, OnFederation(f), specs, Admission{})
 		if err != nil {
 			t.Fatal(err)
 		}
+		rep := x.Run()
 		for _, tr := range rep.Tenants {
 			if tr.Err != nil {
 				t.Fatalf("tenant %s: %v", tr.Name, tr.Err)

@@ -30,10 +30,11 @@ func TestCampaignSurvivesSEOutage(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rep, err := RunFederated(eng, f, localityTenants(12, 1))
+		x, err := StartSite(eng, OnFederation(f), localityTenants(12, 1), Admission{})
 		if err != nil {
 			t.Fatal(err)
 		}
+		rep := x.Run()
 		for _, tr := range rep.Tenants {
 			if tr.Err != nil {
 				t.Fatalf("tenant %s did not survive the SE outage: %v", tr.Name, tr.Err)

@@ -34,9 +34,7 @@ import (
 type Config struct {
 	// World is the compiled scenario world to serve (required). The
 	// world's campaign — its tenant roster under its admission gate — is
-	// started at boot; external submissions ride alongside it. The
-	// world's federation must be serial (the scenario compiler never
-	// builds parallel ones): the daemon steps the shared engine directly.
+	// started at boot; external submissions ride alongside it.
 	World *scenario.World
 	// Warp is the pacing factor: virtual seconds advanced per wall-clock
 	// second. 1 is real time, 60 compresses a virtual minute into a wall
@@ -45,7 +43,7 @@ type Config struct {
 	Warp float64
 	// Replay makes the daemon exit once the boot campaign completes (and
 	// the drain stops exactly there, mirroring the closed
-	// campaign.RunSiteAdmitted loop): the time-warped replay mode whose
+	// campaign.Execution.Run loop): the time-warped replay mode whose
 	// outcome reproduces the closed run's fingerprint event-for-event.
 	// Without it the daemon keeps serving after the campaign finishes.
 	Replay bool
@@ -103,9 +101,6 @@ type Daemon struct {
 func New(cfg Config) (*Daemon, error) {
 	if cfg.World == nil {
 		return nil, errors.New("daemon: Config.World is required")
-	}
-	if cfg.World.Fed.ParallelActive() {
-		return nil, errors.New("daemon: parallel federations cannot be served (the daemon steps the engine directly)")
 	}
 	if cfg.Clock == nil {
 		cfg.Clock = RealClock()
@@ -259,7 +254,7 @@ func (d *Daemon) drive() {
 
 		// Fire due events, checking responsiveness every stepBudget
 		// steps. A Replay run stops exactly when the campaign does,
-		// mirroring campaign.RunSiteAdmitted's drain loop so the outcome
+		// mirroring campaign.Execution.Run's drain loop so the outcome
 		// (and its fingerprint) is the closed run's.
 		steps := 0
 		drained := false

@@ -48,7 +48,7 @@ func compileTestWorld(t *testing.T, src string) *scenario.World {
 
 // TestReplayMatchesClosedRun is the determinism acceptance gate: an
 // as-fast-as-possible replay through the daemon's incremental driver
-// reproduces the closed World.Run outcome of the same scenario file,
+// reproduces the closed Execution.Run outcome of the same scenario file,
 // fingerprint and makespan both.
 func TestReplayMatchesClosedRun(t *testing.T) {
 	spec, err := scenario.Load("../../scenarios/clean-baseline.json")
@@ -60,10 +60,11 @@ func TestReplayMatchesClosedRun(t *testing.T) {
 	if err != nil {
 		t.Fatalf("compile: %v", err)
 	}
-	closedRep, err := closedWorld.Run()
+	closedX, err := closedWorld.Start()
 	if err != nil {
 		t.Fatalf("closed run: %v", err)
 	}
+	closedRep := closedX.Run()
 	closedFP := scenario.Fingerprint(closedRep, closedWorld.Fed)
 
 	daemonWorld, err := scenario.Compile(sim.NewEngine(), spec)
@@ -97,10 +98,11 @@ func TestReplayMatchesClosedRun(t *testing.T) {
 // changes when events fire on the wall, never what they compute.
 func TestPacedReplayMatchesClosedRun(t *testing.T) {
 	closedWorld := compileTestWorld(t, testSpec)
-	closedRep, err := closedWorld.Run()
+	closedX, err := closedWorld.Start()
 	if err != nil {
 		t.Fatalf("closed run: %v", err)
 	}
+	closedRep := closedX.Run()
 	closedFP := scenario.Fingerprint(closedRep, closedWorld.Fed)
 
 	d, err := New(Config{World: compileTestWorld(t, testSpec), Warp: 1e9, Replay: true})
@@ -297,7 +299,28 @@ func TestHTTPSubmitJobsMetricsSnapshot(t *testing.T) {
 	}
 }
 
-// TestSubmitValidation covers the /submit request checks.
+// waitJobDone polls /jobs until the named job has completed.
+func waitJobDone(t *testing.T, base, name string) {
+	t.Helper()
+	waitFor(t, name+" to complete", func() bool {
+		_, body := httpGet(t, base+"/jobs")
+		var jobs []JobView
+		if err := json.Unmarshal([]byte(body), &jobs); err != nil {
+			t.Fatalf("/jobs: %v", err)
+		}
+		for _, j := range jobs {
+			if j.Name == name && j.Status == "completed" {
+				return true
+			}
+		}
+		return false
+	})
+}
+
+// TestSubmitValidation covers the /submit request checks. A runtime past
+// the one-year ceiling would overflow into a negative engine delay and
+// crash the driver, so the daemon must still be healthy once the last
+// (valid) job has landed.
 func TestSubmitValidation(t *testing.T) {
 	_, base := startServingDaemon(t, Config{Warp: 0})
 	cases := []struct {
@@ -306,6 +329,8 @@ func TestSubmitValidation(t *testing.T) {
 	}{
 		{`{"runtimeSeconds":1}`, http.StatusBadRequest}, // no name
 		{`{"name":"x","runtimeSeconds":-1}`, http.StatusBadRequest},
+		{`{"name":"x","runtimeSeconds":1e300}`, http.StatusBadRequest},
+		{`{"name":"x","runtimeSeconds":1e12}`, http.StatusBadRequest},
 		{`not json`, http.StatusBadRequest},
 		{`{"name":"x","runtimeSeconds":1,"count":1000000}`, http.StatusBadRequest},
 		{`{"name":"x","runtimeSeconds":1}`, http.StatusOK},
@@ -314,6 +339,48 @@ func TestSubmitValidation(t *testing.T) {
 		if code, body := httpPost(t, base+"/submit", c.body); code != c.want {
 			t.Errorf("/submit %s: %d (%s), want %d", c.body, code, bytes.TrimSpace([]byte(body)), c.want)
 		}
+	}
+	waitJobDone(t, base, "x")
+	if code, body := httpGet(t, base+"/healthz"); code != http.StatusOK {
+		t.Fatalf("/healthz after validation table: %d %q", code, body)
+	}
+}
+
+// TestSubmitRejectsBadOutputs posts output declarations with a negative
+// size, a size past the ceiling, or no name to a capacity-limited world.
+// Accepted, a negative size would panic the driver when the job lands (a
+// negative SE gauge add) and a huge one would overflow the stage-out
+// delay. All must be refused and the daemon must keep serving.
+func TestSubmitRejectsBadOutputs(t *testing.T) {
+	const capSpec = `{
+	  "name": "daemon-capacity",
+	  "seed": 3,
+	  "grids": [{"name": "g", "nodes": 2}],
+	  "links": {"local": true},
+	  "storage": {"capacityMB": 100},
+	  "policies": {"seq": {}},
+	  "tenants": [{
+	    "prefix": "t", "policy": "seq",
+	    "workload": {"stages": 1, "items": 1, "runtime": "5s",
+	      "sizes": {"kind": "constant", "meanMB": 1}}
+	  }]
+	}`
+	_, base := startServingDaemon(t, Config{World: compileTestWorld(t, capSpec), Warp: 0})
+	for _, body := range []string{
+		`{"name":"neg","runtimeSeconds":1,"outputs":[{"name":"o-neg","sizeMB":-5}]}`,
+		`{"name":"huge","runtimeSeconds":1,"outputs":[{"name":"o-huge","sizeMB":1e300}]}`,
+		`{"name":"anon","runtimeSeconds":1,"outputs":[{"sizeMB":1}]}`,
+	} {
+		if code, reply := httpPost(t, base+"/submit", body); code != http.StatusBadRequest {
+			t.Errorf("/submit %s: %d (%s), want 400", body, code, bytes.TrimSpace([]byte(reply)))
+		}
+	}
+	if code, reply := httpPost(t, base+"/submit", `{"name":"ok","runtimeSeconds":1,"outputs":[{"name":"o-ok","sizeMB":5}]}`); code != http.StatusOK {
+		t.Fatalf("/submit valid output: %d (%s)", code, reply)
+	}
+	waitJobDone(t, base, "ok")
+	if code, body := httpGet(t, base+"/healthz"); code != http.StatusOK {
+		t.Fatalf("/healthz after bad outputs: %d %q", code, body)
 	}
 }
 

@@ -20,7 +20,8 @@ type SubmitRequest struct {
 	Tenant string `json:"tenant,omitempty"`
 	// Name is the job name (a -N suffix is appended when Count > 1).
 	Name string `json:"name"`
-	// RuntimeSeconds is the job's computation time in virtual seconds.
+	// RuntimeSeconds is the job's computation time in virtual seconds,
+	// at most maxRuntime.
 	RuntimeSeconds float64 `json:"runtimeSeconds"`
 	// Inputs are logical file names the job stages in; each must already
 	// be registered in the federation catalog.
@@ -33,11 +34,21 @@ type SubmitRequest struct {
 
 // OutputDecl declares one output file in a SubmitRequest.
 type OutputDecl struct {
-	// Name is the logical file name to register.
+	// Name is the logical file name to register (required).
 	Name string `json:"name"`
-	// SizeMB is the file's size in megabytes.
+	// SizeMB is the file's size in megabytes, in [0, maxOutputMB].
 	SizeMB float64 `json:"sizeMB"`
 }
+
+// Ceilings on what /submit accepts. Far larger values overflow the
+// job's compute or stage-out time.Duration into a negative delay, which
+// the engine refuses by panicking on the driver goroutine.
+const (
+	// maxRuntime is the longest job runtime: one virtual year.
+	maxRuntime = 365 * 24 * time.Hour
+	// maxOutputMB is the largest output file: one terabyte.
+	maxOutputMB = 1 << 20
+)
 
 // SubmitResponse is the /submit reply: the virtual instant the jobs
 // entered the broker and their assigned IDs.
@@ -290,8 +301,8 @@ func (d *Daemon) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "bad request: name is required", http.StatusBadRequest)
 		return
 	}
-	if req.RuntimeSeconds < 0 {
-		http.Error(w, "bad request: runtimeSeconds must be >= 0", http.StatusBadRequest)
+	if req.RuntimeSeconds < 0 || req.RuntimeSeconds > maxRuntime.Seconds() {
+		http.Error(w, fmt.Sprintf("bad request: runtimeSeconds must be in [0, %g]", maxRuntime.Seconds()), http.StatusBadRequest)
 		return
 	}
 	count := req.Count
@@ -304,6 +315,10 @@ func (d *Daemon) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	outs := make([]grid.FileDecl, len(req.Outputs))
 	for i, o := range req.Outputs {
+		if o.Name == "" || o.SizeMB < 0 || o.SizeMB > maxOutputMB {
+			http.Error(w, fmt.Sprintf("bad request: every output needs a name and a sizeMB in [0, %d]", maxOutputMB), http.StatusBadRequest)
+			return
+		}
 		outs[i] = grid.FileDecl{Name: o.Name, SizeMB: o.SizeMB}
 	}
 	var resp SubmitResponse

@@ -13,7 +13,7 @@
 // and its per-tenant handles (*Tenant) satisfy services.Submitter:
 // wrapper-backed, grouped and batched services dispatch across grids
 // transparently, and campaigns back whole multi-tenant runs with a
-// federation (campaign.RunFederated).
+// federation (campaign.OnFederation).
 //
 // A pluggable broker Policy picks the target grid per submitted job:
 // round-robin, least-backlog (instantaneous occupancy), or overhead-ranked
@@ -41,7 +41,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/grid"
@@ -124,25 +123,6 @@ type Config struct {
 	// Eviction also refuses to evict a replica of a file at or below the
 	// floor. Zero or one disables repair.
 	MinReplicas int
-	// Parallel arms conservative parallel execution: each member grid gets
-	// its own event loop (a sim.Engine shard), run concurrently between
-	// the main engine's brokering points by Federation.Run via sim.Group.
-	// Results are bit-identical to a serial run of the same configuration
-	// — the shards only interact at main-engine instants, where they are
-	// quiesced (see the parallel-engine section of DESIGN.md).
-	//
-	// Parallelism engages only when the configuration is provably free of
-	// cross-shard channels: no contended fabric (Fabric nil, WANStreams 0),
-	// passive storage (SECapacityMB 0, MinReplicas ≤ 1), no outages, no
-	// re-brokering, and at least two grids. Any other configuration
-	// silently falls back to the single-engine serial path (check
-	// ParallelActive). Jobs submitted while parallelism is engaged must
-	// declare no outputs — output registration mutates the shared replica
-	// catalog from inside a window, which is exactly the cross-shard data
-	// dependency conservative windows cannot honor — and their completion
-	// callbacks run on shard goroutines, so they must only touch state
-	// owned by the job or its grid.
-	Parallel bool
 }
 
 // Outage is one scheduled member-grid outage window: the named grid goes
@@ -255,12 +235,6 @@ type Federation struct {
 	repairing  map[string]bool
 	repairs    int
 	repairedMB float64
-	// parallel marks conservative parallel execution engaged: the member
-	// grids run on the shard engines, coordinated by Run. inWindow is the
-	// cross-shard-submission guard, armed while shard windows execute.
-	parallel bool
-	shards   []*sim.Engine
-	inWindow atomic.Bool
 }
 
 // New builds a federation of the configured grids on the engine, sharing
@@ -316,7 +290,6 @@ func New(eng *sim.Engine, cfg Config) (*Federation, error) {
 		f.fabric = grid.NewFabric(eng, cfg.WANStreams)
 	}
 	f.catalog.SetFabric(f.fabric)
-	f.parallel = cfg.Parallel && parallelSafe(cfg)
 	seen := make(map[string]bool, len(cfg.Grids))
 	for i, gs := range cfg.Grids {
 		name := gs.Name
@@ -336,15 +309,7 @@ func New(eng *sim.Engine, cfg Config) (*Federation, error) {
 		// link model.
 		gs.Config.Name = name
 		f.names = append(f.names, name)
-		geng := eng
-		if f.parallel {
-			// Each member grid becomes one shard: its whole internal
-			// lifecycle (UI, broker, queues, staging, compute) schedules on
-			// its own engine, run between brokering points by Run.
-			geng = sim.NewEngine()
-			f.shards = append(f.shards, geng)
-		}
-		f.grids = append(f.grids, grid.NewWithCatalog(geng, gs.Config, f.catalog))
+		f.grids = append(f.grids, grid.NewWithCatalog(eng, gs.Config, f.catalog))
 		if cfg.SECapacityMB > 0 {
 			// Active storage: the grid-level SE (where repair copies and
 			// campaign-registered inputs land) and each cluster's close SE
@@ -421,49 +386,6 @@ func New(eng *sim.Engine, cfg Config) (*Federation, error) {
 		}
 	}
 	return f, nil
-}
-
-// parallelSafe reports whether the configuration is provably free of
-// cross-shard channels, the precondition of conservative per-grid
-// parallelism: every interaction between member grids must happen at
-// main-engine instants (brokered submissions), so any feature that lets
-// one grid's in-window events observe or mutate another grid's — or
-// shared — state disqualifies the configuration. A contended fabric
-// shares WAN channels across grids; active storage and replica repair
-// mutate the shared catalog mid-run; outages flip grid state from
-// main-engine events at arbitrary instants; re-brokering resubmits from
-// inside a shard's settlement.
-func parallelSafe(cfg Config) bool {
-	return cfg.Fabric == nil && cfg.WANStreams == 0 &&
-		cfg.SECapacityMB == 0 && cfg.MinReplicas <= 1 &&
-		len(cfg.Outages) == 0 && cfg.Rebroker == 0 && len(cfg.Grids) > 1
-}
-
-// ParallelActive reports whether conservative parallel execution is
-// engaged: Config.Parallel was set and the configuration passed the
-// safety predicate (see Config.Parallel). When false, Run degenerates to
-// the single-engine serial drain.
-func (f *Federation) ParallelActive() bool { return f.parallel }
-
-// Run drains the federation to completion. With parallelism engaged, the
-// member grids' shard engines run concurrently between the main engine's
-// brokering points under a sim.Group — bit-identical results to the
-// serial path, one goroutine per grid inside each window; otherwise it is
-// exactly Engine().Run(). Callers that pre-schedule submission waves on
-// the main engine (Engine()) and then Run obtain the same records, same
-// telemetry, and same per-grid statistics in either mode.
-func (f *Federation) Run() {
-	if !f.parallel {
-		f.eng.Run()
-		return
-	}
-	grp := &sim.Group{
-		Main:       f.eng,
-		Shards:     f.shards,
-		PreWindow:  func() { f.inWindow.Store(true) },
-		PostWindow: func() { f.inWindow.Store(false) },
-	}
-	grp.Run()
 }
 
 // HeterogeneousSpecs returns n member-grid specs derived from the default
@@ -616,14 +538,6 @@ func (f *Federation) Submit(spec grid.JobSpec, done func(*grid.JobRecord)) *grid
 }
 
 func (f *Federation) submit(tenant string, spec grid.JobSpec, done func(*grid.JobRecord)) *grid.JobRecord {
-	if f.parallel {
-		if f.inWindow.Load() {
-			panic("federation: Submit during a parallel window — submissions must run at brokering points (main-engine events), not from shard callbacks")
-		}
-		if len(spec.Outputs) > 0 {
-			panic("federation: parallel execution requires outputless jobs — output registration mutates the shared catalog from inside a window (disable Config.Parallel for data-producing workloads)")
-		}
-	}
 	return f.dispatch(tenant, spec, done, f.pick(spec, -1), f.cfg.Rebroker)
 }
 

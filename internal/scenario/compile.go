@@ -114,18 +114,11 @@ func Compile(eng *sim.Engine, s *Spec) (*World, error) {
 	return w, nil
 }
 
-// Run enacts the compiled world: every tenant is brokered across the
-// federation under the spec's admission gate, and the engine is stepped
-// until the campaign terminates.
-func (w *World) Run() (*campaign.Report, error) {
-	return campaign.RunSiteAdmitted(w.Eng, campaign.OnFederation(w.Fed), w.Tenants, w.Admission)
-}
-
 // Start schedules the world's campaign on the engine without driving it:
-// the incremental form of Run for callers that step the engine
-// themselves and interleave external events between steps — the online
-// broker daemon's boot path. Stepping the returned execution until Done
-// and calling its Report yields exactly what Run returns.
+// every tenant is brokered across the federation under the spec's
+// admission gate. Run the returned execution to enact the world, or step
+// the engine and interleave external events between steps, as the online
+// broker daemon does.
 func (w *World) Start() (*campaign.Execution, error) {
 	return campaign.StartSite(w.Eng, campaign.OnFederation(w.Fed), w.Tenants, w.Admission)
 }

@@ -51,11 +51,11 @@ func handLocalityWorld(t *testing.T) (*campaign.Report, *federation.Federation) 
 			Build:   campaign.SyntheticChainPlaced(3, 8, 20*time.Second, 20, home, 1),
 		}
 	}
-	rep, err := campaign.RunFederated(eng, f, tenants)
+	x, err := campaign.StartSite(eng, campaign.OnFederation(f), tenants, campaign.Admission{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return rep, f
+	return x.Run(), f
 }
 
 // TestLocalitySkewSpecEquivalence proves the compiler introduces no
@@ -76,10 +76,11 @@ func TestLocalitySkewSpecEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	specRep, err := w.Run()
+	x, err := w.Start()
 	if err != nil {
 		t.Fatal(err)
 	}
+	specRep := x.Run()
 
 	if got, want := len(specRep.Tenants), len(handRep.Tenants); got != want {
 		t.Fatalf("compiled world has %d tenants, hand world %d", got, want)

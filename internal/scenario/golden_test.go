@@ -58,10 +58,11 @@ func runLibrarySpec(t *testing.T, path string) uint64 {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := w.Run()
+	x, err := w.Start()
 	if err != nil {
 		t.Fatal(err)
 	}
+	rep := x.Run()
 	for _, tr := range rep.Tenants {
 		if tr.Err != nil {
 			t.Fatalf("tenant %s: %v", tr.Name, tr.Err)

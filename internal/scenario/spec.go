@@ -10,11 +10,12 @@
 // instead of a hand-assembled Go test or a pile of CLI flags.
 //
 // The compiler (Compile) turns a validated Spec into a federation plus
-// campaign tenant specs on a fresh engine; World.Run enacts it. All
-// randomness flows through internal/rng streams forked from Spec.Seed,
-// so a scenario is exactly as bit-reproducible as the hand-built worlds
-// it replaces (pinned by the per-scenario determinism test over
-// scenarios/*.json and by the spec↔hand-assembled equivalence test).
+// campaign tenant specs on a fresh engine; World.Start schedules its
+// campaign and Execution.Run enacts it. All randomness flows through
+// internal/rng streams forked from Spec.Seed, so a scenario is exactly
+// as bit-reproducible as the hand-built worlds it replaces (pinned by
+// the per-scenario determinism test over scenarios/*.json and by the
+// spec↔hand-assembled equivalence test).
 //
 // Validation is line-anchored: a semantic error (an outage naming an
 // unknown grid, overlapping outage windows, a tenant group referencing a

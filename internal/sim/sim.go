@@ -331,21 +331,3 @@ func (e *Engine) NextAt() (t Time, ok bool) {
 	}
 	return ev.at, true
 }
-
-// RunBefore fires every event with an instant strictly before t, then
-// advances the clock to t. It is the shard-side window primitive of
-// Group: a shard drains all of its work below the next global barrier
-// instant without observing events at the barrier itself, which belong
-// to the window after the barrier's global batch.
-func (e *Engine) RunBefore(t Time) {
-	for {
-		ev := e.peek()
-		if ev == nil || ev.at >= t {
-			break
-		}
-		e.Step()
-	}
-	if t > e.now {
-		e.now = t
-	}
-}

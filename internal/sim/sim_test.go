@@ -399,6 +399,44 @@ func TestRunUntilCancelledHead(t *testing.T) {
 	}
 }
 
+// TestNextAt checks the peek-only query the daemon's pacing loop is
+// built on: cancelled heads are skipped, an empty or all-cancelled queue
+// reports ok=false, and the call neither advances the clock nor fires
+// anything — so an event scheduled afterwards at an earlier instant
+// still fires first.
+func TestNextAt(t *testing.T) {
+	e := NewEngine()
+	if _, ok := e.NextAt(); ok {
+		t.Fatal("NextAt on an empty engine reported an event")
+	}
+	only := e.Schedule(time.Second, func() { t.Fatal("cancelled event fired") })
+	only.Cancel()
+	if _, ok := e.NextAt(); ok {
+		t.Fatal("NextAt on an all-cancelled queue reported an event")
+	}
+
+	var fired []Time
+	head := e.Schedule(1*time.Second, func() { fired = append(fired, 1) })
+	e.Schedule(3*time.Second, func() { fired = append(fired, 3) })
+	head.Cancel()
+	next, ok := e.NextAt()
+	if !ok || next != 3*time.Second {
+		t.Fatalf("NextAt = %v, %v; want 3s, true (cancelled 1s head skipped)", next, ok)
+	}
+	if e.Now() != 0 || e.Fired() != 0 || len(fired) != 0 {
+		t.Fatalf("NextAt moved the engine: now %v, fired %d %v", e.Now(), e.Fired(), fired)
+	}
+
+	e.Schedule(2*time.Second, func() { fired = append(fired, 2) })
+	if next, _ := e.NextAt(); next != 2*time.Second {
+		t.Fatalf("NextAt after an earlier schedule = %v, want 2s", next)
+	}
+	e.Run()
+	if len(fired) != 2 || fired[0] != 2 || fired[1] != 3 {
+		t.Fatalf("fired = %v, want [2 3]", fired)
+	}
+}
+
 // TestCancelWithinSameInstantBatch cancels an event from an earlier event
 // of the same virtual instant — the cancelled one is already out of the
 // priority queue, sitting in the executing batch, and must still not fire.

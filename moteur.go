@@ -50,11 +50,6 @@ type (
 	Engine = sim.Engine
 	// VirtualTime is an instant of simulated time.
 	VirtualTime = sim.Time
-	// EngineGroup runs shard engines concurrently between the main
-	// engine's instants — the conservative parallel scheme behind
-	// FederationConfig.Parallel (see DESIGN.md, "Parallel per-grid
-	// event loops"). Results are bit-identical to a serial drain.
-	EngineGroup = sim.Group
 )
 
 // NewEngine returns a fresh simulation engine with the clock at zero.
@@ -163,9 +158,6 @@ var AutoGroup = core.AutoGroup
 // Multi-tenant campaigns: M workflows, each with its own enactor and
 // options, contending for one shared grid (see internal/campaign).
 type (
-	// Campaign configures a multi-tenant run: the shared grid model plus
-	// one TenantSpec per tenant.
-	Campaign = campaign.Config
 	// CampaignTenant describes one tenant: name, arrival instant,
 	// enactor options, workflow builder, optional adaptive granularity.
 	CampaignTenant = campaign.TenantSpec
@@ -182,25 +174,19 @@ type (
 	AdaptiveGranularity = campaign.AdaptiveGranularity
 )
 
-// Campaign runners and helpers.
+// Campaign driver and helpers.
 var (
-	// RunCampaign builds a fresh engine and shared grid and enacts all
-	// tenants concurrently on them.
-	RunCampaign = campaign.Run
-	// RunCampaignOn enacts tenants on an existing engine and grid.
-	RunCampaignOn = campaign.RunOn
-	// RunCampaignFederated enacts tenants on an existing engine and
-	// federation: jobs are brokered across the member grids per policy.
-	RunCampaignFederated = campaign.RunFederated
+	// StartCampaign schedules tenants on an engine and campaign site;
+	// run the returned execution to completion for the report.
+	StartCampaign = campaign.StartSite
+	// CampaignOnGrid adapts one shared grid into a campaign site.
+	CampaignOnGrid = campaign.OnGrid
 	// SyntheticChain builds the standard campaign workload: a linear
 	// pipeline of wrapper-backed stages with tenant-unique file names.
 	SyntheticChain = campaign.SyntheticChain
 	// SyntheticChainPlaced is SyntheticChain with a skew fraction of the
 	// inputs registered as replicas at a home site (locality scenarios).
 	SyntheticChainPlaced = campaign.SyntheticChainPlaced
-	// RunCampaignAdmitted is RunCampaignOn's site-generic form with
-	// admission control: arrivals are gated on the site's UI backlog.
-	RunCampaignAdmitted = campaign.RunSiteAdmitted
 )
 
 // CampaignAdmission is the arrival-gating policy of an admitted campaign.

@@ -185,18 +185,17 @@ func TestPublicAPIAutoGroup(t *testing.T) {
 func TestPublicAPICampaign(t *testing.T) {
 	gc := IdealGridConfig(32)
 	gc.Overheads.SubmitMean = 2 * time.Second
-	rep, err := RunCampaign(Campaign{
-		Grid: gc,
-		Tenants: []CampaignTenant{
-			{Name: "a", Opts: Options{DataParallelism: true, ServiceParallelism: true},
-				Build: SyntheticChain(2, 4, 10*time.Second, 1)},
-			{Name: "b", Arrival: time.Minute, Opts: Options{DataParallelism: true},
-				Build: SyntheticChain(1, 6, 10*time.Second, 1)},
-		},
-	})
+	eng := NewEngine()
+	x, err := StartCampaign(eng, CampaignOnGrid(NewGrid(eng, gc)), []CampaignTenant{
+		{Name: "a", Opts: Options{DataParallelism: true, ServiceParallelism: true},
+			Build: SyntheticChain(2, 4, 10*time.Second, 1)},
+		{Name: "b", Arrival: time.Minute, Opts: Options{DataParallelism: true},
+			Build: SyntheticChain(1, 6, 10*time.Second, 1)},
+	}, CampaignAdmission{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	rep := x.Run()
 	if len(rep.Tenants) != 2 {
 		t.Fatalf("tenants = %d", len(rep.Tenants))
 	}
