@@ -1,12 +1,72 @@
 package scenario
 
 import (
+	"bufio"
+	"bytes"
+	"flag"
+	"fmt"
+	"os"
 	"path/filepath"
 	"sort"
+	"strconv"
+	"strings"
 	"testing"
 
 	"repro/internal/sim"
 )
+
+// update rewrites testdata/library.golden from the current runs instead
+// of checking against it. A moved pin is a behaviour change: regenerate
+// only on purpose, and say why in the change log.
+var update = flag.Bool("update", false, "rewrite the scenario library fingerprint golden")
+
+// libraryGolden pins every library spec's run fingerprint, one
+// "file fingerprint" line each.
+const libraryGolden = "testdata/library.golden"
+
+// readLibraryGolden loads the pinned fingerprints by spec file name.
+func readLibraryGolden(t *testing.T) map[string]uint64 {
+	t.Helper()
+	data, err := os.ReadFile(libraryGolden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pins := make(map[string]uint64)
+	sc := bufio.NewScanner(bytes.NewReader(data))
+	for sc.Scan() {
+		line := strings.TrimSpace(sc.Text())
+		if line == "" || strings.HasPrefix(line, "#") {
+			continue
+		}
+		name, fp, ok := strings.Cut(line, " ")
+		v, err := strconv.ParseUint(strings.TrimSpace(fp), 0, 64)
+		if !ok || err != nil {
+			t.Fatalf("%s: malformed line %q", libraryGolden, line)
+		}
+		pins[name] = v
+	}
+	return pins
+}
+
+// writeLibraryGolden records the fingerprints in file-name order.
+func writeLibraryGolden(t *testing.T, pins map[string]uint64) {
+	t.Helper()
+	names := make([]string, 0, len(pins))
+	for name := range pins {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	var b strings.Builder
+	b.WriteString("# Scenario library run fingerprints (scenario.Fingerprint), one per\n")
+	b.WriteString("# scenarios/*.json file. Regenerate only for an intentional behaviour\n")
+	b.WriteString("# change: go test ./internal/scenario -run TestScenarioLibraryDeterminism -update\n")
+	for _, name := range names {
+		fmt.Fprintf(&b, "%s %#016x\n", name, pins[name])
+	}
+	if err := os.WriteFile(libraryGolden, []byte(b.String()), 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
 
 // libraryPaths returns every spec of the shipped scenario library,
 // failing the test if the library shrank below its advertised size.
@@ -73,18 +133,47 @@ func runLibrarySpec(t *testing.T, path string) uint64 {
 
 // TestScenarioLibraryDeterminism is the per-scenario golden gate: every
 // spec of the shipped library is compiled and run twice from a fresh
-// Load each time, and the two runs must produce bit-identical
-// fingerprints (per-tenant makespans, per-grid telemetry, WAN and
-// storage churn). A spec file can never go nondeterministic silently.
+// Load each time, the two runs must produce bit-identical fingerprints
+// (per-tenant makespans, per-grid telemetry, WAN and storage churn), and
+// the fingerprint must equal the spec's pin in testdata/library.golden.
+// A spec can neither go nondeterministic nor drift silently; -update
+// re-records the pins.
 func TestScenarioLibraryDeterminism(t *testing.T) {
-	for _, path := range libraryPaths(t) {
+	pins := make(map[string]uint64)
+	if !*update {
+		pins = readLibraryGolden(t)
+	}
+	paths := libraryPaths(t)
+	for _, path := range paths {
 		path := path
-		t.Run(filepath.Base(path), func(t *testing.T) {
+		base := filepath.Base(path)
+		t.Run(base, func(t *testing.T) {
 			first := runLibrarySpec(t, path)
 			if again := runLibrarySpec(t, path); again != first {
 				t.Fatalf("scenario not deterministic: %#x vs %#x", first, again)
 			}
+			if *update {
+				pins[base] = first
+				return
+			}
+			want, ok := pins[base]
+			if !ok {
+				t.Fatalf("%s has no pin in %s (run with -update)", base, libraryGolden)
+			}
+			if first != want {
+				t.Fatalf("fingerprint %#016x, pinned %#016x: behaviour drifted (re-pin with -update only on purpose)", first, want)
+			}
 		})
+	}
+	if *update {
+		if len(pins) != len(paths) {
+			t.Fatalf("-update needs every spec to run (got %d of %d; scale specs skip under -short and -race)", len(pins), len(paths))
+		}
+		writeLibraryGolden(t, pins)
+		return
+	}
+	if len(pins) != len(paths) {
+		t.Errorf("%s pins %d specs, the library has %d", libraryGolden, len(pins), len(paths))
 	}
 }
 
