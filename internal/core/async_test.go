@@ -68,7 +68,7 @@ func TestStartOffsetMakespanIsRelative(t *testing.T) {
 	}
 	var res *Result
 	offset := sim.Time(5 * time.Minute)
-	eng.At(offset, func() {
+	eng.Schedule(offset, func() {
 		if err := e.Start(map[string][]string{"src": itemValues(3)}, func(r *Result, err error) {
 			if err != nil {
 				t.Errorf("run failed: %v", err)

@@ -9,7 +9,7 @@ package sim
 // when done. For the common hold-for-a-duration pattern, Use wraps
 // Acquire/Schedule/Release.
 //
-// The Arg variants (AcquireArg, UseWaitArg) mirror Engine.ScheduleArg:
+// The Arg forms (AcquireArg, UseWaitArg) mirror Engine.ScheduleArg:
 // callers pass a static function plus a pointer-shaped argument instead of
 // a fresh closure, and the hold-for-a-duration machinery recycles its
 // per-hold bookkeeping through a free list, so steady-state resource use
@@ -25,15 +25,13 @@ type Resource struct {
 	freeHolds []*hold
 }
 
-// waiter is one queued acquisition: either a plain callback or a static
-// function plus argument.
+// waiter is one queued acquisition: a static function plus argument.
 type waiter struct {
-	fn  func()
 	afn func(any)
 	arg any
 }
 
-// hold is the recycled bookkeeping of one Use/UseWait hold: the slot wait
+// hold is the recycled bookkeeping of one Use/UseWaitArg hold: the slot wait
 // start, the hold duration, and the completion callback. It cycles
 // acquire → schedule → release through package-level functions, so the
 // whole hold costs zero allocations once the resource's free list is warm.
@@ -80,7 +78,7 @@ func (r *Resource) Acquire(granted func()) {
 	if granted == nil {
 		panic("sim: Acquire with nil callback")
 	}
-	r.acquire(waiter{fn: granted})
+	r.AcquireArg(callFunc, granted)
 }
 
 // AcquireArg is Acquire for argument-passing callbacks: granted(arg) runs
@@ -110,11 +108,7 @@ func (r *Resource) grant(w waiter) {
 	if r.busy > r.peakBusy {
 		r.peakBusy = r.busy
 	}
-	if w.afn != nil {
-		w.afn(w.arg)
-		return
-	}
-	w.fn()
+	w.afn(w.arg)
 }
 
 // Release returns a slot. If requests are queued, the oldest one is granted
@@ -148,28 +142,14 @@ func (r *Resource) Use(d Time, done func()) {
 // func value is pointer-shaped, so boxing it in the arg slot is free.
 func useDone(arg any, _ Time) { arg.(func())() }
 
-// UseWait is Use with wait-time reporting: it acquires a slot, holds it
-// for d, releases it, and calls done (which may be nil) with the virtual
-// time the request spent queued before the grant (zero when a slot was
-// free on arrival). It is the building block of contended transfer
-// channels, whose callers account channel congestion separately from the
-// transfer itself.
-func (r *Resource) UseWait(d Time, done func(waited Time)) {
-	if done == nil {
-		r.UseWaitArg(d, nil, nil)
-		return
-	}
-	r.UseWaitArg(d, useWaitDone, done)
-}
-
-// useWaitDone adapts a UseWait completion callback to the UseWaitArg shape.
-func useWaitDone(arg any, waited Time) { arg.(func(Time))(waited) }
-
-// UseWaitArg is UseWait for argument-passing callbacks: it acquires a
-// slot, holds it for d, releases it, and calls done(arg, waited) — done
-// may be nil — where waited is the virtual time the request spent queued
-// before the grant. The per-hold bookkeeping is recycled through the
-// resource's free list, so a warm hold allocates nothing.
+// UseWaitArg is Use with wait-time reporting, for argument-passing
+// callbacks: it acquires a slot, holds it for d, releases it, and calls
+// done(arg, waited) — done may be nil — where waited is the virtual time
+// the request spent queued before the grant (zero when a slot was free on
+// arrival). It is the building block of contended transfer channels,
+// whose callers account channel congestion separately from the transfer
+// itself. The per-hold bookkeeping is recycled through the resource's
+// free list, so a warm hold allocates nothing.
 func (r *Resource) UseWaitArg(d Time, done func(any, Time), arg any) {
 	var h *hold
 	if n := len(r.freeHolds); n > 0 {

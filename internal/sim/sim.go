@@ -28,14 +28,13 @@ import (
 type Time = time.Duration
 
 // Event is a scheduled callback. It can be cancelled before it fires.
-// An event carries either a plain callback (Schedule/At) or an
-// argument-passing one (ScheduleArg/AtArg); the latter lets hot paths
-// share one static function across events instead of allocating a new
-// closure per event.
+// Every event carries an argument-passing callback: hot paths share one
+// static function across events and pass their state as the argument
+// instead of allocating a closure per event, and Schedule passes a plain
+// func() as the argument of a static adapter.
 type Event struct {
 	eng      *Engine
 	at       Time
-	fn       func()
 	afn      func(any)
 	arg      any
 	canceled bool
@@ -128,49 +127,38 @@ func (e *Engine) Pending() int { return e.live }
 // Schedule arranges for fn to run after delay. A negative delay panics:
 // scheduling into the past would break causality.
 func (e *Engine) Schedule(delay Time, fn func()) *Event {
-	if delay < 0 {
-		panic(fmt.Sprintf("sim: Schedule with negative delay %v", delay))
+	if fn == nil {
+		panic("sim: Schedule with nil callback")
 	}
-	return e.At(e.now+delay, fn)
+	return e.ScheduleArg(delay, callFunc, fn)
 }
 
-// At arranges for fn to run at the absolute virtual instant t, which must
-// not precede the current time.
-func (e *Engine) At(t Time, fn func()) *Event {
-	if fn == nil {
-		panic("sim: At with nil callback")
-	}
-	ev := e.newEvent(t)
-	ev.fn = fn
-	return ev
-}
+// callFunc adapts a Schedule callback to the ScheduleArg shape. A func
+// value is pointer-shaped, so boxing it in the arg slot allocates nothing.
+func callFunc(arg any) { arg.(func())() }
 
 // ScheduleArg is Schedule for argument-passing callbacks: fn(arg) runs
 // after delay. Because fn can be a package-level function and arg a
 // pointer, hot paths schedule without allocating a closure per event.
 func (e *Engine) ScheduleArg(delay Time, fn func(any), arg any) *Event {
 	if delay < 0 {
-		panic(fmt.Sprintf("sim: ScheduleArg with negative delay %v", delay))
+		panic(fmt.Sprintf("sim: Schedule with negative delay %v", delay))
 	}
-	return e.AtArg(e.now+delay, fn, arg)
-}
-
-// AtArg is At for argument-passing callbacks: fn(arg) runs at the
-// absolute virtual instant t, which must not precede the current time.
-func (e *Engine) AtArg(t Time, fn func(any), arg any) *Event {
 	if fn == nil {
-		panic("sim: AtArg with nil callback")
+		panic("sim: ScheduleArg with nil callback")
 	}
-	ev := e.newEvent(t)
+	ev := e.newEvent(e.now + delay)
 	ev.afn, ev.arg = fn, arg
 	return ev
 }
 
 // newEvent pulls a recycled (or new) event, stamps its instant, and files
-// it in the instant's bucket. The caller fills in the callback.
+// it in the instant's bucket. The caller fills in the callback. An instant
+// before the clock can only come from a delay that overflows the clock's
+// range, and panics like a negative delay.
 func (e *Engine) newEvent(t Time) *Event {
 	if t < e.now {
-		panic(fmt.Sprintf("sim: At(%v) precedes now (%v)", t, e.now))
+		panic(fmt.Sprintf("sim: event instant %v precedes now (%v)", t, e.now))
 	}
 	var ev *Event
 	if n := len(e.freeEvents); n > 0 {
@@ -202,7 +190,7 @@ func (e *Engine) newEvent(t Time) *Event {
 // recycle returns a consumed (fired or cancelled-and-collected) event to
 // the free list.
 func (e *Engine) recycle(ev *Event) {
-	ev.fn, ev.afn, ev.arg = nil, nil, nil
+	ev.afn, ev.arg = nil, nil
 	e.freeEvents = append(e.freeEvents, ev)
 }
 
@@ -288,13 +276,8 @@ func (e *Engine) Step() bool {
 		e.fired++
 		e.live--
 		ev.fired = true
-		if ev.afn != nil {
-			afn, arg := ev.afn, ev.arg
-			afn(arg)
-		} else {
-			fn := ev.fn
-			fn()
-		}
+		afn, arg := ev.afn, ev.arg
+		afn(arg)
 		e.recycle(ev)
 		return true
 	}

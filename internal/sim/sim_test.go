@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -91,15 +92,18 @@ func TestNegativeDelayPanics(t *testing.T) {
 	NewEngine().Schedule(-time.Second, func() {})
 }
 
+// TestAtInPastPanics pins the clock-overflow guard: a delay so long that
+// the event's instant wraps to before the current clock panics instead of
+// filing the event in the past.
 func TestAtInPastPanics(t *testing.T) {
 	e := NewEngine()
 	e.Schedule(time.Second, func() {
 		defer func() {
 			if recover() == nil {
-				t.Error("At in the past did not panic")
+				t.Error("an event instant before now did not panic")
 			}
 		}()
-		e.At(0, func() {})
+		e.Schedule(math.MaxInt64, func() {})
 	})
 	e.Run()
 }
@@ -502,15 +506,15 @@ func TestEventPoolReuse(t *testing.T) {
 }
 
 // TestRunUntilThenAt exercises the batch/heap boundary: after RunUntil
-// stops mid-queue, scheduling at the stop instant and running must fire
-// the new event after the remaining older ones of that instant.
+// stops mid-queue, scheduling at a pending instant and running must fire
+// the new event after the older ones of that instant.
 func TestRunUntilThenAt(t *testing.T) {
 	e := NewEngine()
 	var order []int
 	e.Schedule(time.Second, func() { order = append(order, 1) })
 	e.Schedule(2*time.Second, func() { order = append(order, 2) })
 	e.RunUntil(time.Second)
-	ev := e.At(2*time.Second, func() { order = append(order, 3) })
+	ev := e.Schedule(time.Second, func() { order = append(order, 3) })
 	if ev.At() != 2*time.Second {
 		t.Fatalf("At() = %v", ev.At())
 	}
@@ -638,7 +642,7 @@ func TestResourcePeakStatsBatchedSameBucket(t *testing.T) {
 	}
 }
 
-// TestUseWaitReportsQueueTime pins the UseWait contract: the callback
+// TestUseWaitReportsQueueTime pins the UseWaitArg contract: the callback
 // receives exactly the time spent queued before the grant (zero for the
 // immediate grant), and the holds still serialize FIFO.
 func TestUseWaitReportsQueueTime(t *testing.T) {
@@ -646,7 +650,7 @@ func TestUseWaitReportsQueueTime(t *testing.T) {
 	r := NewResource(e, 1)
 	var waits []Time
 	for i := 0; i < 3; i++ {
-		r.UseWait(time.Second, func(w Time) { waits = append(waits, w) })
+		r.UseWaitArg(time.Second, func(_ any, w Time) { waits = append(waits, w) }, nil)
 	}
 	if r.Waiting() != 2 {
 		t.Fatalf("Waiting = %d, want 2", r.Waiting())
@@ -662,10 +666,10 @@ func TestUseWaitReportsQueueTime(t *testing.T) {
 		}
 	}
 	// A nil done must not crash the release path.
-	r.UseWait(time.Second, nil)
+	r.UseWaitArg(time.Second, nil, nil)
 	e.Run()
 	if r.Busy() != 0 {
-		t.Errorf("Busy = %d after nil-done UseWait drained", r.Busy())
+		t.Errorf("Busy = %d after nil-done UseWaitArg drained", r.Busy())
 	}
 }
 
