@@ -325,7 +325,7 @@ type StagePlan struct {
 	// Remote breaks the remote class down by source grid, in lexical
 	// source-grid order — the legs a contended stage-in walks, acquiring
 	// each leg's (fromGrid, toGrid) channel for the leg's fetch time. It
-	// is only materialized by PlanDetailed; Plan leaves it nil so the
+	// is only materialized on the stage-in path; Plan leaves it nil so the
 	// broker ranking hot paths stay allocation-free.
 	Remote []RemoteLeg
 	// Missing is the first input (in declaration order) absent from the
@@ -371,35 +371,23 @@ type RemoteLeg struct {
 // Plan resolves the inputs against the replica catalog for a consumer at
 // site `to`: each input's cheapest replica is chosen and classified. The
 // first unregistered input aborts planning and is reported in
-// StagePlan.Missing. Plan is read-only and deterministic, so brokers and
-// cluster rankers use it for cost estimates with exactly the semantics
-// stage-in will pay.
+// StagePlan.Missing. Plan is read-only, deterministic and allocation-free
+// (it leaves StagePlan.Remote nil), so brokers and cluster rankers use it
+// for cost estimates with exactly the semantics stage-in will pay.
 func (c *Catalog) Plan(inputs []string, to Site) StagePlan {
-	return c.plan(inputs, to, false, false)
-}
-
-// PlanDetailed is Plan with the per-source-grid leg breakdown
-// (StagePlan.Remote) materialized, in lexical source-grid order. The
-// contended stage-in path uses it to acquire each leg's WAN channel;
-// rankers keep using Plan, whose aggregate-only result allocates nothing.
-func (c *Catalog) PlanDetailed(inputs []string, to Site) StagePlan {
-	return c.plan(inputs, to, true, false)
-}
-
-// stagePlanInto is the plan variant of the actual stage-in path: legs are
-// materialized into the caller-owned plan (whose backing arrays are
-// reused across re-staging rounds, attempts, and jobs) and the chosen
-// replicas' access records are touched (the only place accesses count —
-// planning for ranking stays read-only, so broker estimates never distort
-// eviction recency or popularity).
-func (c *Catalog) stagePlanInto(p *StagePlan, inputs []string, to Site) {
-	c.planInto(p, inputs, to, true, true)
-}
-
-func (c *Catalog) plan(inputs []string, to Site, detail, touch bool) StagePlan {
 	var p StagePlan
-	c.planInto(&p, inputs, to, detail, touch)
+	c.planInto(&p, inputs, to, false)
 	return p
+}
+
+// stagePlanInto is the plan of the actual stage-in path: the per-source-
+// grid legs (StagePlan.Remote) are materialized into the caller-owned
+// plan, whose backing arrays are reused across re-staging rounds,
+// attempts and jobs, and the chosen replicas' access records are touched
+// (the only place accesses count — planning for ranking stays read-only,
+// so broker estimates never distort eviction recency or popularity).
+func (c *Catalog) stagePlanInto(p *StagePlan, inputs []string, to Site) {
+	c.planInto(p, inputs, to, true)
 }
 
 // reset clears the plan for reuse, keeping the remote-leg backing array
@@ -411,10 +399,9 @@ func (p *StagePlan) reset() {
 }
 
 // planInto resolves the inputs into the caller-owned plan, which is reset
-// first. It is the engine behind Plan/PlanDetailed/stagePlanInto; callers
-// that recycle the plan across rounds get leg materialization without
-// per-round allocations.
-func (c *Catalog) planInto(p *StagePlan, inputs []string, to Site, detail, touch bool) {
+// first. It is the engine behind Plan and stagePlanInto: stage selects the
+// stage-in variant, which materializes legs and touches access records.
+func (c *Catalog) planInto(p *StagePlan, inputs []string, to Site, stage bool) {
 	p.reset()
 	for _, name := range inputs {
 		rep, link, live, ok := c.best(name, to)
@@ -426,7 +413,7 @@ func (c *Catalog) planInto(p *StagePlan, inputs []string, to Site, detail, touch
 			p.Unavailable = name
 			return
 		}
-		if touch {
+		if stage {
 			c.touch(name, rep)
 		}
 		if live == 1 && !link.Local {
@@ -441,7 +428,7 @@ func (c *Catalog) planInto(p *StagePlan, inputs []string, to Site, detail, touch
 			p.RemoteMB += rep.SizeMB
 			p.RemoteFiles++
 			p.RemoteTime += cost
-			if detail {
+			if stage {
 				p.addLeg(rep.Site, rep.SizeMB, cost)
 			}
 		}

@@ -260,11 +260,11 @@ func TestDarkUIFailureCountsOneAttempt(t *testing.T) {
 	}
 }
 
-// TestPlanDetailedLegs pins the per-source-grid leg breakdown: inputs
-// resolve into one leg per source grid in lexical order, aggregating
-// sizes, files and serialized fetch time, while Plan leaves the
-// breakdown unmaterialized.
-func TestPlanDetailedLegs(t *testing.T) {
+// TestStagePlanLegs pins the per-source-grid leg breakdown of the
+// stage-in plan: inputs resolve into one leg per source grid in lexical
+// order, aggregating sizes, files and serialized fetch time, while Plan
+// leaves the breakdown unmaterialized.
+func TestStagePlanLegs(t *testing.T) {
 	c := NewCatalog()
 	c.SetLinks(&Links{WAN: Link{MBps: 2, Latency: 5 * time.Second}})
 	here := Site{Grid: "g0", Cluster: "ce00"}
@@ -273,7 +273,8 @@ func TestPlanDetailedLegs(t *testing.T) {
 	c.RegisterAt("c", 20, Site{Grid: "g1", Cluster: "y"})
 	c.RegisterAt("d", 4, here)
 
-	p := c.PlanDetailed([]string{"a", "b", "c", "d"}, here)
+	var p StagePlan
+	c.stagePlanInto(&p, []string{"a", "b", "c", "d"}, here)
 	if p.Missing != "" {
 		t.Fatalf("unexpected missing %q", p.Missing)
 	}
@@ -293,7 +294,7 @@ func TestPlanDetailedLegs(t *testing.T) {
 	if agg := c.Plan([]string{"a", "b", "c", "d"}, here); agg.Remote != nil {
 		t.Errorf("Plan materialized legs: %+v (hot path must stay allocation-free)", agg.Remote)
 	} else if agg.RemoteTime != p.RemoteTime || agg.RemoteMB != p.RemoteMB {
-		t.Errorf("Plan aggregates diverge from PlanDetailed: %+v vs %+v", agg, p)
+		t.Errorf("Plan aggregates diverge from the stage-in plan: %+v vs %+v", agg, p)
 	}
 }
 
