@@ -89,7 +89,7 @@ type sweep struct {
 	seed                         uint64
 	rebroker                     int
 	skew                         float64
-	links                        grid.LinkModel
+	links                        *grid.Links
 	wanStreams                   int
 	outages                      []federation.Outage
 	seCap                        float64
@@ -212,7 +212,7 @@ func main() {
 		grids: *grids, tenants: *tenants, servs: *servs, items: *items,
 		runtime: *runtime, fileMB: *fileMB, spread: *spread,
 		seed: *seed, rebroker: *rebroker, skew: *skew,
-		links: links(*wan, *wanLat), wanStreams: *wanStreams,
+		links: links(*wan, *wanLat, nil), wanStreams: *wanStreams,
 		seCap: *seCap, minReplicas: *minRep,
 	}
 	ev, err := scenario.ParseEviction(*sePolicy)
@@ -447,14 +447,19 @@ func printVerbose(fed *federation.Federation) {
 }
 
 // links builds the sweep's link model: cross-grid fetches at the given
-// bandwidth and latency, intra-grid free. A non-positive bandwidth means
-// the advertised free-staging baseline (grid.LocalLinks), regardless of
-// the latency flag — a latency-only WAN is not expressible from the CLI.
-func links(wanMBps float64, wanLat time.Duration) grid.LinkModel {
+// bandwidth and latency, intra-grid free, listed -pairs priced as listed.
+// A non-positive bandwidth means free cross-grid staging regardless of
+// the latency flag — a latency-only WAN is not expressible from the CLI —
+// and, with no pairs either, the advertised free-staging baseline
+// (grid.LocalLinks).
+func links(wanMBps float64, wanLat time.Duration, pairs map[grid.GridPair]grid.Link) *grid.Links {
 	if wanMBps <= 0 {
-		return grid.LocalLinks()
+		if len(pairs) == 0 {
+			return grid.LocalLinks()
+		}
+		return &grid.Links{Pairs: pairs}
 	}
-	return &grid.Links{WAN: grid.Link{MBps: wanMBps, Latency: wanLat}}
+	return &grid.Links{WAN: grid.Link{MBps: wanMBps, Latency: wanLat}, Pairs: pairs}
 }
 
 // run enacts the standard tenant load on a fresh federation under one
@@ -528,13 +533,10 @@ func localitySweep(s sweep, wanLat time.Duration, skews, wans string) {
 		for _, w := range wanVals {
 			for _, pol := range pols {
 				run := s
-				run.skew, run.links = sk, links(w, wanLat)
-				// A -pairs matrix survives the sweep: its listed pairs
-				// stay fixed while the swept bandwidth replaces only the
-				// fallback for unlisted pairs.
-				if m, ok := s.links.(*grid.LinkMatrix); ok {
-					run.links = &grid.LinkMatrix{Pairs: m.Pairs, Fallback: links(w, wanLat)}
-				}
+				// -pairs survive the sweep: the listed pairs stay fixed
+				// while the swept bandwidth replaces only the WAN class
+				// that prices unlisted pairs.
+				run.skew, run.links = sk, links(w, wanLat, s.links.Pairs)
 				rep, fed := run.run(pol)
 				ms := make([]time.Duration, 0, len(rep.Tenants))
 				for _, tr := range rep.Tenants {

@@ -86,13 +86,13 @@ func TestContendedCampaignDeterministic(t *testing.T) {
 	}
 }
 
-// TestLinkMatrixEquivalentCampaign is the end-to-end face of the matrix
-// generalization property: the skewed locality campaign run under a
-// LinkMatrix listing every ordered member-grid pair at the DefaultWAN
-// constants is bit-identical (fingerprint and all) to the same campaign
-// under the class-based DefaultWAN model itself.
+// TestLinkMatrixEquivalentCampaign is the end-to-end face of the pair
+// generalization property: the skewed locality campaign run under zero
+// class links plus pairs listing every ordered member-grid pair at the
+// DefaultWAN constants is bit-identical (fingerprint and all) to the same
+// campaign under the class-only DefaultWAN model itself.
 func TestLinkMatrixEquivalentCampaign(t *testing.T) {
-	matrix := &grid.LinkMatrix{Pairs: make(map[grid.GridPair]grid.Link)}
+	matrix := &grid.Links{Pairs: make(map[grid.GridPair]grid.Link)}
 	wan := grid.DefaultWAN().WAN
 	for i := 0; i < 4; i++ {
 		for j := 0; j < 4; j++ {

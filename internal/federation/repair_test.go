@@ -98,16 +98,14 @@ func TestRepairRetriesAfterTargetDeath(t *testing.T) {
 // TestRepairPicksCheapestSource pins the source-selection rule: the
 // repair copy must come from the surviving replica with the cheapest
 // link into the chosen target, not from the lexically-first survivor.
-// The link matrix makes g0 (lexically first) a 70 s source into g2 and
+// The per-pair links make g0 (lexically first) a 70 s source into g2 and
 // g1 a 10 s one; picking wrong is visible as a 60 s later drain.
 func TestRepairPicksCheapestSource(t *testing.T) {
-	links := &grid.LinkMatrix{
-		Pairs: map[grid.GridPair]grid.Link{
-			{From: "g0", To: "g1"}: {MBps: 60},                           // 1 s: repair #1 lands fast
-			{From: "g0", To: "g2"}: {MBps: 1, Latency: 10 * time.Second}, // 70 s: the trap
-			{From: "g1", To: "g2"}: {MBps: 6},                            // 10 s: the cheapest source
-		},
-		Fallback: grid.DefaultWAN(),
+	links := grid.DefaultWAN()
+	links.Pairs = map[grid.GridPair]grid.Link{
+		{From: "g0", To: "g1"}: {MBps: 60},                           // 1 s: repair #1 lands fast
+		{From: "g0", To: "g2"}: {MBps: 1, Latency: 10 * time.Second}, // 70 s: the trap
+		{From: "g1", To: "g2"}: {MBps: 6},                            // 10 s: the cheapest source
 	}
 	eng, f := repairTestbed(t, 3, 3, links)
 	cat := f.Catalog()

@@ -97,13 +97,15 @@ func (c *Catalog) SetFabric(f *Fabric) { c.fabric = f }
 // fetches are uncontended pure delays).
 func (c *Catalog) Fabric() *Fabric { return c.fabric }
 
-// AllLocal reports whether the attached link model is the all-local one,
-// under which every fetch estimate is provably zero — the matchmaker's
-// and the federation broker's licence to skip stage planning entirely on
-// their ranking hot paths.
+// AllLocal reports whether the attached link model is the all-local one
+// (LocalLinks), under which every fetch estimate is provably zero — the
+// matchmaker's and the federation broker's licence to skip stage planning
+// entirely on their ranking hot paths. Any other model answers false,
+// even one whose links are all local: planning still feeds the broker's
+// local-bytes affinity.
 func (c *Catalog) AllLocal() bool {
-	_, ok := c.links.(localLinks)
-	return ok
+	l, ok := c.links.(*Links)
+	return ok && l.blind
 }
 
 // Register records a file and its size in MB as a single unplaced

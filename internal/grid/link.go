@@ -49,18 +49,30 @@ type Link struct {
 	Latency time.Duration
 }
 
+// maxCost bounds one fetch estimate at 2^53 ns (about 104 days): far past
+// any simulated span, yet small enough that a stage plan summing
+// thousands of capped estimates, and the engine clock adding one to the
+// current instant, stay inside time.Duration's range.
+const maxCost = time.Duration(1) << 53
+
 // Cost returns the estimated wall time of fetching sizeMB over the link
 // (zero for a local link — the close-SE cost is uniform across replicas
-// and is paid separately by the cluster's transfer phase).
+// and is paid separately by the cluster's transfer phase). The estimate
+// is clamped to [0, maxCost], so a vanishing bandwidth prices a fetch as
+// prohibitively slow instead of overflowing into a negative duration.
 func (l Link) Cost(sizeMB float64) time.Duration {
 	if l.Local {
 		return 0
 	}
 	d := l.Latency
 	if l.MBps > 0 {
-		d += time.Duration(sizeMB / l.MBps * float64(time.Second))
+		xfer := sizeMB / l.MBps * float64(time.Second)
+		if !(xfer < float64(maxCost)) {
+			return maxCost
+		}
+		d += time.Duration(xfer)
 	}
-	return d
+	return min(max(d, 0), maxCost)
 }
 
 // LinkModel gives the link between a replica's site and a consuming site.
@@ -68,60 +80,17 @@ func (l Link) Cost(sizeMB float64) time.Duration {
 // two sites: stage-in planning and broker ranking call Link at arbitrary
 // points of the event schedule, so any hidden state would break the
 // simulator's determinism. An unplaced replica (from.IsZero()) must map to
-// a local link.
+// a local link. Links is the model every world is built on; the interface
+// lets instrumentation wrap it.
 type LinkModel interface {
 	// Link returns the edge from the replica's site to the consumer.
 	Link(from, to Site) Link
 }
 
-// Links is the default three-class link model of an LCG2-style federation:
-// intra-cluster (the replica sits behind the consuming CE's close SE —
-// free beyond the close-SE transfer every job pays), intra-grid (another
-// CE of the same grid) and WAN (another grid of the federation), with
-// intra-cluster ≪ intra-grid ≪ WAN. A zero-valued class is treated as
-// local, so the zero Links value reproduces the location-blind transfer
-// model exactly.
-type Links struct {
-	// IntraGrid is the edge between two clusters of the same grid. The
-	// zero value treats intra-grid transfers as local (the default: the
-	// paper's close-SE abstraction already folds intra-grid movement into
-	// the cluster link).
-	IntraGrid Link
-	// WAN is the edge between two member grids of a federation. The zero
-	// value treats cross-grid transfers as local (the PR 3 shared-catalog
-	// behaviour, where federated staging was free).
-	WAN Link
-}
-
-// Link implements LinkModel: same cluster (or an unplaced replica) is
-// local, same grid is IntraGrid, anything else is WAN.
-func (l *Links) Link(from, to Site) Link {
-	if from.IsZero() || from == to {
-		return Link{Local: true}
-	}
-	if from.Grid == to.Grid && from.Cluster != "" && to.Cluster != "" && from.Cluster != to.Cluster {
-		return orLocal(l.IntraGrid)
-	}
-	if from.Grid == to.Grid {
-		// Same grid, but one side only knows the grid (a broker's view):
-		// resident on the grid means no WAN movement.
-		return Link{Local: true}
-	}
-	return orLocal(l.WAN)
-}
-
-// orLocal degrades a zero-valued link class to local.
-func orLocal(l Link) Link {
-	if !l.Local && l.MBps == 0 && l.Latency == 0 {
-		return Link{Local: true}
-	}
-	return l
-}
-
 // GridPair is one ordered (from, to) edge of the grid-level transfer
 // topology: the direction a replica moves when a job on grid To consumes
-// a file resident on grid From. Per-pair link matrices and the contended
-// WAN fabric key their state by it.
+// a file resident on grid From. Per-pair links and the contended WAN
+// fabric key their state by it.
 type GridPair struct {
 	// From names the grid the replica lives on.
 	From string
@@ -129,45 +98,67 @@ type GridPair struct {
 	To string
 }
 
-// LinkMatrix is the per-pair link model: a measured (fromGrid, toGrid) →
-// bandwidth/latency matrix, the shape of Venugopal et al.'s per-pair link
-// quality ranking and Sadeghiram et al.'s distance matrices, layered over
-// a class-based fallback. Pairs present in the matrix are priced exactly
-// as listed; pairs absent from it fall back to the class model, so a
-// matrix populated with the uniform class constants is bit-identical to
-// the class model itself (the strict-generalization property the tests
-// pin). Intra-cluster transfers and unplaced replicas are always local,
-// and a grid-level consumer view of data resident on its own grid is
-// local too, exactly as in Links.
-type LinkMatrix struct {
-	// Pairs maps ordered grid pairs to their measured link. A zero-valued
-	// link listed here degrades to local, matching the class semantics.
+// Links is the link model of an LCG2-style federation: intra-cluster (the
+// replica sits behind the consuming CE's close SE — free beyond the
+// close-SE transfer every job pays), intra-grid (another CE of the same
+// grid) and WAN (another grid of the federation) class links, with
+// intra-cluster ≪ intra-grid ≪ WAN, plus optional measured per-pair
+// links — the per-pair link quality of Venugopal et al.'s data broker and
+// the distance matrices of Sadeghiram et al. A listed (fromGrid, toGrid)
+// pair is priced exactly as listed and every other pair falls back to its
+// class, so pairs listing the class constants price exactly like no
+// pairs at all. A zero-valued link, class or pair, is treated as local,
+// so the zero Links value reproduces the location-blind transfer model.
+type Links struct {
+	// IntraGrid is the edge between two clusters of the same grid. The
+	// zero value treats intra-grid transfers as local (the default: the
+	// paper's close-SE abstraction already folds intra-grid movement into
+	// the cluster link).
+	IntraGrid Link
+	// WAN is the edge between two member grids of a federation. The zero
+	// value treats cross-grid transfers as local (the shared-catalog
+	// behaviour, where federated staging was free).
+	WAN Link
+	// Pairs maps ordered grid pairs to their measured link, overriding
+	// the class link. A (g, g) entry prices cross-cluster transfers
+	// within grid g. Nil lists no pairs, and skips the lookup.
 	Pairs map[GridPair]Link
-	// Fallback prices pairs absent from the matrix. Nil means the zero
-	// Links model (everything local), so a matrix alone prices exactly
-	// the pairs it lists.
-	Fallback LinkModel
+
+	// blind marks the model LocalLinks returns, which Catalog.AllLocal
+	// recognizes as its licence to skip stage planning.
+	blind bool
 }
 
 // Link implements LinkModel: same cluster (or an unplaced replica) is
-// local, a listed (fromGrid, toGrid) pair is priced by the matrix, and
-// everything else falls back to the class model.
-func (m *LinkMatrix) Link(from, to Site) Link {
+// local, and so is a grid-level consumer view of data resident on its own
+// grid; a listed (fromGrid, toGrid) pair is priced by Pairs; anything
+// else is IntraGrid within a grid and WAN across grids.
+func (l *Links) Link(from, to Site) Link {
 	if from.IsZero() || from == to {
 		return Link{Local: true}
 	}
-	if from.Grid == to.Grid && (from.Cluster == "" || to.Cluster == "" || from.Cluster == to.Cluster) {
-		// Same grid with only grid-level knowledge (a broker's view) or
-		// the same close SE: resident means no movement, as in Links.
+	if from.Grid == to.Grid && (from.Cluster == "" || to.Cluster == "") {
+		// Same grid, but one side only knows the grid (a broker's view):
+		// resident on the grid means no movement.
 		return Link{Local: true}
 	}
-	if l, ok := m.Pairs[GridPair{From: from.Grid, To: to.Grid}]; ok {
-		return orLocal(l)
+	if len(l.Pairs) > 0 {
+		if p, ok := l.Pairs[GridPair{From: from.Grid, To: to.Grid}]; ok {
+			return orLocal(p)
+		}
 	}
-	if m.Fallback != nil {
-		return m.Fallback.Link(from, to)
+	if from.Grid == to.Grid {
+		return orLocal(l.IntraGrid)
 	}
-	return Link{Local: true}
+	return orLocal(l.WAN)
+}
+
+// orLocal degrades a zero-valued link to local.
+func orLocal(l Link) Link {
+	if !l.Local && l.MBps == 0 && l.Latency == 0 {
+		return Link{Local: true}
+	}
+	return l
 }
 
 // DefaultWAN returns the standard federation link model: intra-grid
@@ -181,12 +172,8 @@ func DefaultWAN() *Links {
 
 // LocalLinks returns the link model that treats every replica as local:
 // the location-blind transfer model the catalog had before it learned
-// about sites (and the PR 3 federation's free cross-grid staging). It is
-// the compatibility escape hatch and the control arm of locality
-// experiments.
-func LocalLinks() LinkModel { return localLinks{} }
-
-type localLinks struct{}
-
-// Link implements LinkModel: everything is local.
-func (localLinks) Link(from, to Site) Link { return Link{Local: true} }
+// about sites (and the free cross-grid staging of the first federation).
+// It is the compatibility escape hatch and the control arm of locality
+// experiments. It prices exactly like the zero Links, but only it lets
+// Catalog.AllLocal skip planning, so callers must not add links to it.
+func LocalLinks() *Links { return &Links{blind: true} }

@@ -120,6 +120,28 @@ func TestLinkClasses(t *testing.T) {
 	if !LocalLinks().Link(Site{Grid: "g1"}, here).Local {
 		t.Fatal("LocalLinks must treat everything as local")
 	}
+
+	// Cost never goes negative: a vanishing bandwidth saturates at the
+	// cap instead of overflowing time.Duration, and a negative latency
+	// (only reachable by hand-built links) clamps to zero.
+	costs := []struct {
+		name   string
+		link   Link
+		sizeMB float64
+		want   time.Duration
+	}{
+		{"vanishing bandwidth saturates", Link{MBps: 1e-9}, 10, maxCost},
+		{"vanishing bandwidth plus latency saturates", Link{MBps: 1e-9, Latency: time.Hour}, 10, maxCost},
+		{"terabyte at 1 MB/s is exact", Link{MBps: 1, Latency: time.Second}, 1e6, time.Second + 1e6*time.Second},
+		{"huge latency saturates", Link{Latency: 1 << 62}, 0, maxCost},
+		{"negative latency clamps to zero", Link{Latency: -time.Hour}, 0, 0},
+		{"local ignores its fields", Link{Local: true, MBps: 1e-9}, 10, 0},
+	}
+	for _, tc := range costs {
+		if got := tc.link.Cost(tc.sizeMB); got != tc.want {
+			t.Errorf("%s: Cost(%v MB) = %v, want %v", tc.name, tc.sizeMB, got, tc.want)
+		}
+	}
 }
 
 func TestCatalogPlan(t *testing.T) {

@@ -60,15 +60,9 @@ func Compile(eng *sim.Engine, s *Spec) (*World, error) {
 		outages = append(outages, s.Waves.FailureWaves(root.Fork(streamWaves), names)...)
 	}
 
-	gridSpecs := s.expandGrids(rootSeed)
-	links, err := s.compileLinks()
-	if err != nil {
-		return nil, err
-	}
-
 	cfg := federation.Config{
-		Grids:      gridSpecs,
-		Links:      links,
+		Grids:      s.expandGrids(rootSeed),
+		Links:      s.compileLinks(),
 		WANStreams: s.WANStreams,
 		Outages:    outages,
 	}
@@ -87,9 +81,11 @@ func Compile(eng *sim.Engine, s *Spec) (*World, error) {
 	}
 	if st := s.Storage; st != nil {
 		cfg.SECapacityMB = st.CapacityMB
-		if cfg.SEEviction, err = ParseEviction(st.Eviction); err != nil {
+		ev, err := ParseEviction(st.Eviction)
+		if err != nil {
 			return nil, s.errAt(st.Eviction, "storage: %v", err)
 		}
+		cfg.SEEviction = ev
 		cfg.MinReplicas = st.MinReplicas
 	}
 
@@ -234,28 +230,27 @@ func (g GridSpec) baseConfig() grid.Config {
 	return cfg
 }
 
-// compileLinks resolves the spec's link section into a LinkModel (nil
+// compileLinks resolves the spec's link section into a link model (nil
 // keeps the federation default).
-func (s *Spec) compileLinks() (grid.LinkModel, error) {
+func (s *Spec) compileLinks() grid.LinkModel {
 	l := s.Links
 	if l == nil {
-		return nil, nil
+		return nil
 	}
 	if l.Local {
-		return grid.LocalLinks(), nil
+		return grid.LocalLinks()
 	}
-	base := &grid.Links{
+	m := &grid.Links{
 		IntraGrid: grid.Link{MBps: l.IntraGridMBps, Latency: l.IntraGridLatency.D()},
 		WAN:       grid.Link{MBps: l.WANMBps, Latency: l.WANLatency.D()},
 	}
-	if len(l.Pairs) == 0 {
-		return base, nil
+	if len(l.Pairs) > 0 {
+		m.Pairs = make(map[grid.GridPair]grid.Link, len(l.Pairs))
+		for _, p := range l.Pairs {
+			m.Pairs[grid.GridPair{From: p.From, To: p.To}] = grid.Link{MBps: p.MBps, Latency: p.Latency.D()}
+		}
 	}
-	m := &grid.LinkMatrix{Pairs: make(map[grid.GridPair]grid.Link, len(l.Pairs)), Fallback: base}
-	for _, p := range l.Pairs {
-		m.Pairs[grid.GridPair{From: p.From, To: p.To}] = grid.Link{MBps: p.MBps, Latency: p.Latency.D()}
-	}
-	return m, nil
+	return m
 }
 
 // expandTenants generates the tenant roster: per-group arrival schedules

@@ -3,6 +3,7 @@ package scenario
 import (
 	"errors"
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 	"time"
@@ -45,10 +46,14 @@ func ParseOutage(s string) (federation.Outage, error) {
 }
 
 // ParsePairs reads a from>to=MBps:latency[,...] per-pair override list
-// into a LinkMatrix over the given fallback model. It is the parser
-// behind cmd/federation's -pairs flag.
-func ParsePairs(s string, fallback grid.LinkModel) (*grid.LinkMatrix, error) {
-	m := &grid.LinkMatrix{Pairs: make(map[grid.GridPair]grid.Link), Fallback: fallback}
+// into a link model that keeps the given class links (nil means zero
+// classes: unlisted pairs are local) and prices the listed pairs as
+// listed. It is the parser behind cmd/federation's -pairs flag.
+func ParsePairs(s string, classes *grid.Links) (*grid.Links, error) {
+	m := &grid.Links{Pairs: make(map[grid.GridPair]grid.Link)}
+	if classes != nil {
+		m.IntraGrid, m.WAN = classes.IntraGrid, classes.WAN
+	}
 	for _, entry := range strings.Split(s, ",") {
 		pair, link, ok := strings.Cut(strings.TrimSpace(entry), "=")
 		if !ok {
@@ -66,11 +71,11 @@ func ParsePairs(s string, fallback grid.LinkModel) (*grid.LinkMatrix, error) {
 		if err != nil {
 			return nil, fmt.Errorf("%w: bad bandwidth in %q: %w", ErrParse, entry, err)
 		}
-		if bw <= 0 {
-			// Link.Cost treats MBps <= 0 as latency-only (infinite
-			// bandwidth), so a typo would silently run a different
-			// experiment than the table claims.
-			return nil, fmt.Errorf("%w: non-positive bandwidth in %q", ErrParse, entry)
+		if !(bw > 0) || math.IsInf(bw, 0) {
+			// Link.Cost treats MBps <= 0 (and NaN) as latency-only
+			// (infinite bandwidth), so a typo would silently run a
+			// different experiment than the table claims.
+			return nil, fmt.Errorf("%w: bandwidth in %q must be positive and finite", ErrParse, entry)
 		}
 		latency, err := time.ParseDuration(lat)
 		if err != nil {
@@ -113,12 +118,13 @@ func ParsePolicy(name string, grids int) (federation.Policy, error) {
 	return nil, fmt.Errorf("%w: unknown policy %q (want ranked|ranked-blind|ranked-safe|backlog|rr|pinned:N)", ErrParse, name)
 }
 
-// ParseFloats parses a comma-separated float list (sweep axis values).
+// ParseFloats parses a comma-separated list of finite floats (sweep axis
+// values).
 func ParseFloats(s string) ([]float64, error) {
 	var out []float64
 	for _, f := range strings.Split(s, ",") {
 		v, err := strconv.ParseFloat(strings.TrimSpace(f), 64)
-		if err != nil {
+		if err != nil || math.IsNaN(v) || math.IsInf(v, 0) {
 			return nil, fmt.Errorf("%w: bad value %q", ErrParse, f)
 		}
 		out = append(out, v)

@@ -46,7 +46,7 @@ func TestParseOutage(t *testing.T) {
 
 // TestParsePairs covers the from>to=MBps:latency per-pair override list
 // behind -pairs, including the silent-typo traps (non-positive bandwidth
-// would mean infinite bandwidth downstream).
+// would mean infinite bandwidth downstream, and so would NaN).
 func TestParsePairs(t *testing.T) {
 	fallback := &grid.Links{WAN: grid.Link{MBps: 2, Latency: 5 * time.Second}}
 	m, err := ParsePairs("g0>g1=0.5:15s, g1>g0=1:2s", fallback)
@@ -59,8 +59,15 @@ func TestParsePairs(t *testing.T) {
 	if l := m.Pairs[grid.GridPair{From: "g0", To: "g1"}]; l.MBps != 0.5 || l.Latency != 15*time.Second {
 		t.Fatalf("g0>g1 parsed as %+v", l)
 	}
-	if m.Fallback != fallback {
-		t.Fatalf("fallback not preserved: %+v", m.Fallback)
+	if m.WAN != fallback.WAN || m.IntraGrid != fallback.IntraGrid || fallback.Pairs != nil {
+		t.Fatalf("class links not kept (or the input mutated): %+v from %+v", m, fallback)
+	}
+	bare, err := ParsePairs("g0>g1=1:1s", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bare.WAN != (grid.Link{}) || len(bare.Pairs) != 1 {
+		t.Fatalf("nil classes parsed as %+v, want zero classes plus one pair", bare)
 	}
 	for _, bad := range []string{
 		"",                 // no entry at all
@@ -72,6 +79,11 @@ func TestParsePairs(t *testing.T) {
 		"g0>g1=fast:2s",    // bad bandwidth
 		"g0>g1=0:2s",       // zero bandwidth (means infinite downstream)
 		"g0>g1=-1:2s",      // negative bandwidth
+		"g0>g1=NaN:1s",     // NaN bandwidth (would be latency-only)
+		"g0>g1=nan:1s",     // NaN, lower case
+		"g0>g1=Inf:1s",     // infinite bandwidth
+		"g0>g1=-Inf:1s",    // negative infinity
+		"g0>g1=1e400:1s",   // overflows to infinity
 		"g0>g1=1:soon",     // bad latency
 		"g0>g1=1:-2s",      // negative latency
 		"g0>g1=1:2s,extra", // valid entry then junk
@@ -115,7 +127,7 @@ func TestParseFloats(t *testing.T) {
 	if len(got) != 3 || got[0] != 0 || got[1] != 0.5 || got[2] != 1 {
 		t.Fatalf("parsed %v", got)
 	}
-	for _, bad := range []string{"", "0,,1", "0,half", "0;1"} {
+	for _, bad := range []string{"", "0,,1", "0,half", "0;1", "NaN", "0,Inf", "-inf", "1e400"} {
 		if _, err := ParseFloats(bad); !errors.Is(err, ErrParse) {
 			t.Errorf("ParseFloats(%q) = %v, want ErrParse", bad, err)
 		}

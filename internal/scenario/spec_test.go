@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+
+	"repro/internal/grid"
 )
 
 // baselineDoc is a minimal valid scenario; rejection cases below are
@@ -109,6 +111,11 @@ func TestSpecRejectsWorldErrors(t *testing.T) {
              "pairs": [{"from": "g0", "to": "gX", "mbps": 1, "latency": "2s"}]},`)
 	mustReject(t, doc, "gX", `unknown grid "gX"`)
 
+	// Non-finite bandwidths cannot reach the link model: JSON has no NaN
+	// or Inf literal, and a float64 overflow is a decode error.
+	mustReject(t, edit(t, `"links": {"local": true},`, `"links": {"wanMBps": NaN},`), "", "line 4:")
+	mustReject(t, edit(t, `"links": {"local": true},`, `"links": {"wanMBps": 1e400},`), "", "wanMBps")
+
 	// Overlapping outage windows of one grid and mode, the PR-6 rule.
 	doc = edit(t, `"links": {"local": true},`, `"links": {"local": true},
   "outages": [{"grid": "g0", "at": "10m", "for": "30m"},
@@ -137,6 +144,29 @@ func TestSpecRejectsWorldErrors(t *testing.T) {
 	mustReject(t, edit(t, `"links": {"local": true},`,
 		`"links": {"local": true}, "admission": {"maxUIBacklog": 0, "retry": "1m"},`),
 		"admission", "admission.maxUIBacklog must be positive")
+}
+
+// TestSpecTinyBandwidthCostsNonNegative is the regression for a
+// vanishing but positive bandwidth, which validation accepts: the class
+// and pair links it compiles to must price a fetch as prohibitively slow,
+// never as a negative duration that would win broker ranking and trip the
+// engine's negative-delay panic.
+func TestSpecTinyBandwidthCostsNonNegative(t *testing.T) {
+	doc := edit(t, `"grids": [{"name": "g0", "preset": "quiet", "nodes": 4}],`,
+		`"grids": [{"name": "g0", "preset": "quiet", "nodes": 4}, {"name": "g1", "preset": "quiet", "nodes": 4}],`)
+	doc = strings.Replace(doc, `"links": {"local": true},`, `"links": {"wanMBps": 1e-9, "wanLatency": "5s",
+             "pairs": [{"from": "g0", "to": "g1", "mbps": 1e-9}]},`, 1)
+	spec, err := Parse([]byte(doc), "test.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	lm := spec.compileLinks()
+	consumer := grid.Site{Grid: "g1", Cluster: "c0"}
+	for _, from := range []grid.Site{{Grid: "g0", Cluster: "c0"}, {Grid: "g2", Cluster: "c0"}} {
+		if c := lm.Link(from, consumer).Cost(10); c <= 0 {
+			t.Errorf("Cost(10 MB) from %v = %v, want a large positive estimate", from, c)
+		}
+	}
 }
 
 // TestSpecRejectsTenantErrors covers tenant group, arrival and workload

@@ -254,15 +254,12 @@ type (
 	DataLink = grid.Link
 	// DataLinkModel prices replica movement between sites.
 	DataLinkModel = grid.LinkModel
-	// DataLinks is the default three-class link model (intra-cluster ≪
-	// intra-grid ≪ WAN).
+	// DataLinks is the link model: intra-cluster ≪ intra-grid ≪ WAN
+	// class links plus optional measured per-pair links.
 	DataLinks = grid.Links
 	// DataGridPair is one ordered (fromGrid, toGrid) edge of the
 	// grid-level transfer topology.
 	DataGridPair = grid.GridPair
-	// DataLinkMatrix prices replica movement per ordered grid pair,
-	// falling back to a class model for unlisted pairs.
-	DataLinkMatrix = grid.LinkMatrix
 	// DataReplica is one physical copy of a registered file at a site.
 	DataReplica = grid.Replica
 	// WANFabric is the contended WAN fabric: one capacity-limited shared
