@@ -11,7 +11,11 @@ import (
 	"log"
 	"time"
 
-	moteur "repro"
+	"repro/internal/core"
+	"repro/internal/iterstrat"
+	"repro/internal/services"
+	"repro/internal/sim"
+	"repro/internal/workflow"
 )
 
 func main() {
@@ -21,10 +25,10 @@ func main() {
 }
 
 func demo(strategy, label string) {
-	eng := moteur.NewEngine()
+	eng := sim.NewEngine()
 
-	pair := moteur.NewLocal(eng, "combine", 1024, moteur.ConstantRuntime(time.Second),
-		func(req moteur.Request) map[string]string {
+	pair := services.NewLocal(eng, "combine", 1024, services.ConstantRuntime(time.Second),
+		func(req services.Request) map[string]string {
 			out := req.Inputs["left"] + "+" + req.Inputs["right"]
 			if p, ok := req.Inputs["param"]; ok {
 				out += "@" + p
@@ -32,13 +36,13 @@ func demo(strategy, label string) {
 			return map[string]string{"out": out}
 		})
 
-	strat, err := moteur.ParseStrategy(strategy)
+	strat, err := iterstrat.Parse(strategy)
 	if err != nil {
 		log.Fatal(err)
 	}
 	inPorts := strat.Ports()
 
-	wf := moteur.NewWorkflow("strategies")
+	wf := workflow.New("strategies")
 	wf.AddSource("A")
 	wf.AddSource("B")
 	if len(inPorts) == 3 {
@@ -54,7 +58,7 @@ func demo(strategy, label string) {
 	}
 	wf.Connect("combine", "out", "results", "in")
 
-	enactor, err := moteur.NewEnactor(eng, wf, moteur.Options{
+	enactor, err := core.New(eng, wf, core.Options{
 		DataParallelism:    true,
 		ServiceParallelism: true,
 	})

@@ -12,26 +12,29 @@ import (
 	"log"
 	"time"
 
-	moteur "repro"
+	"repro/internal/campaign"
+	"repro/internal/core"
+	"repro/internal/grid"
+	"repro/internal/sim"
 )
 
 func main() {
-	steady := moteur.CampaignTenant{
+	steady := campaign.TenantSpec{
 		Name: "steady",
-		Opts: moteur.Options{DataParallelism: true, ServiceParallelism: true},
+		Opts: core.Options{DataParallelism: true, ServiceParallelism: true},
 		// 3 stages × 6 images: a routine analysis someone runs every day.
-		Build: moteur.SyntheticChain(3, 6, 2*time.Minute, 5),
+		Build: campaign.SyntheticChain(3, 6, 2*time.Minute, 5),
 	}
-	burst := moteur.CampaignTenant{
+	burst := campaign.TenantSpec{
 		Name: "burst",
-		Opts: moteur.Options{DataParallelism: true},
+		Opts: core.Options{DataParallelism: true},
 		// 1 stage × 200 images: a parameter sweep submitted all at once.
-		Build: moteur.SyntheticChain(1, 200, 2*time.Minute, 5),
+		Build: campaign.SyntheticChain(1, 200, 2*time.Minute, 5),
 	}
 
-	alone := steadyMakespan([]moteur.CampaignTenant{steady}, false)
-	fair := steadyMakespan([]moteur.CampaignTenant{burst, steady}, false)
-	fifo := steadyMakespan([]moteur.CampaignTenant{burst, steady}, true)
+	alone := steadyMakespan([]campaign.TenantSpec{steady}, false)
+	fair := steadyMakespan([]campaign.TenantSpec{burst, steady}, false)
+	fifo := steadyMakespan([]campaign.TenantSpec{burst, steady}, true)
 
 	fmt.Printf("steady tenant alone:              %v\n", alone.Round(time.Second))
 	fmt.Printf("sharing via fair-share gate:      %v  (%.2fx)\n", fair.Round(time.Second), ratio(fair, alone))
@@ -40,18 +43,18 @@ func main() {
 
 	// The same contention, watched from the accounting side: per-tenant
 	// overheads are disjoint slices of the global statistics.
-	rep := run([]moteur.CampaignTenant{burst, steady}, false)
+	rep := run([]campaign.TenantSpec{burst, steady}, false)
 	for _, tr := range rep.Tenants {
 		fmt.Printf("%-7s %s\n", tr.Name, tr.Overheads)
 	}
 	fmt.Printf("global  %s\n", rep.Global)
 }
 
-func run(tenants []moteur.CampaignTenant, strictFIFO bool) *moteur.CampaignReport {
-	gc := moteur.DefaultGridConfig()
+func run(tenants []campaign.TenantSpec, strictFIFO bool) *campaign.Report {
+	gc := grid.DefaultConfig()
 	gc.StrictFIFOSubmit = strictFIFO
-	eng := moteur.NewEngine()
-	x, err := moteur.StartCampaign(eng, moteur.CampaignOnGrid(moteur.NewGrid(eng, gc)), tenants, moteur.CampaignAdmission{})
+	eng := sim.NewEngine()
+	x, err := campaign.StartSite(eng, campaign.OnGrid(grid.New(eng, gc)), tenants, campaign.Admission{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -64,7 +67,7 @@ func run(tenants []moteur.CampaignTenant, strictFIFO bool) *moteur.CampaignRepor
 	return rep
 }
 
-func steadyMakespan(tenants []moteur.CampaignTenant, strictFIFO bool) time.Duration {
+func steadyMakespan(tenants []campaign.TenantSpec, strictFIFO bool) time.Duration {
 	for _, tr := range run(tenants, strictFIFO).Tenants {
 		if tr.Name == "steady" {
 			return tr.Makespan

@@ -13,26 +13,29 @@ import (
 	"strings"
 	"time"
 
-	moteur "repro"
+	"repro/internal/core"
+	"repro/internal/services"
+	"repro/internal/sim"
+	"repro/internal/workflow"
 )
 
 func main() {
-	eng := moteur.NewEngine()
+	eng := sim.NewEngine()
 
 	// P1 initializes the optimization criterion for each input.
-	p1 := moteur.NewLocal(eng, "P1", 64, moteur.ConstantRuntime(5*time.Second),
-		func(req moteur.Request) map[string]string {
+	p1 := services.NewLocal(eng, "P1", 64, services.ConstantRuntime(5*time.Second),
+		func(req services.Request) map[string]string {
 			return map[string]string{"init": req.Inputs["in"] + "/iter0/res1.000"}
 		})
 	// P2 refines the current estimate.
-	p2 := moteur.NewLocal(eng, "P2", 64, moteur.ConstantRuntime(20*time.Second),
-		func(req moteur.Request) map[string]string {
+	p2 := services.NewLocal(eng, "P2", 64, services.ConstantRuntime(20*time.Second),
+		func(req services.Request) map[string]string {
 			return map[string]string{"est": req.Inputs["crit"]}
 		})
 	// P3 evaluates convergence: residual halves every iteration; below the
 	// threshold it emits on "done", otherwise loops back on "again".
-	p3 := moteur.NewLocal(eng, "P3", 64, moteur.ConstantRuntime(10*time.Second),
-		func(req moteur.Request) map[string]string {
+	p3 := services.NewLocal(eng, "P3", 64, services.ConstantRuntime(10*time.Second),
+		func(req services.Request) map[string]string {
 			base, iter, res := parse(req.Inputs["est"])
 			res /= 2
 			iter++
@@ -43,7 +46,7 @@ func main() {
 			return map[string]string{"again": state}
 		})
 
-	wf := moteur.NewWorkflow("fig2-loop")
+	wf := workflow.New("fig2-loop")
 	wf.AddSource("Source")
 	wf.AddService("P1", p1, []string{"in"}, []string{"init"})
 	wf.AddService("P2", p2, []string{"crit"}, []string{"est"})
@@ -60,7 +63,7 @@ func main() {
 	}
 
 	// Loops require streaming execution (service parallelism).
-	enactor, err := moteur.NewEnactor(eng, wf, moteur.Options{
+	enactor, err := core.New(eng, wf, core.Options{
 		DataParallelism:    true,
 		ServiceParallelism: true,
 	})

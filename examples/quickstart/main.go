@@ -8,7 +8,12 @@ import (
 	"log"
 	"time"
 
-	moteur "repro"
+	"repro/internal/core"
+	"repro/internal/descriptor"
+	"repro/internal/grid"
+	"repro/internal/services"
+	"repro/internal/sim"
+	"repro/internal/workflow"
 )
 
 // descriptorXML describes a generic image filter in the paper's Fig. 8
@@ -22,7 +27,7 @@ const descriptorXML = `<description>
 </description>`
 
 func main() {
-	for _, opts := range []moteur.Options{
+	for _, opts := range []core.Options{
 		{}, // NOP: workflow parallelism only
 		{DataParallelism: true},
 		{DataParallelism: true, ServiceParallelism: true},
@@ -34,9 +39,9 @@ func main() {
 }
 
 // run executes the pipeline over 8 input images under the given options.
-func run(opts moteur.Options) (time.Duration, int) {
-	eng := moteur.NewEngine()
-	g := moteur.NewGrid(eng, moteur.DefaultGridConfig())
+func run(opts core.Options) (time.Duration, int) {
+	eng := sim.NewEngine()
+	g := grid.New(eng, grid.DefaultConfig())
 
 	// The input data: 8 images registered in the replica catalog.
 	var inputs []string
@@ -48,7 +53,7 @@ func run(opts moteur.Options) (time.Duration, int) {
 
 	// One wrapper service per pipeline stage, built from its executable
 	// descriptor — the only thing a developer writes to grid-enable a code.
-	wf := moteur.NewWorkflow("quickstart")
+	wf := workflow.New("quickstart")
 	wf.AddSource("images")
 	for i, stage := range []struct {
 		name    string
@@ -58,11 +63,11 @@ func run(opts moteur.Options) (time.Duration, int) {
 		{"segment", 150 * time.Second},
 		{"measure", 45 * time.Second},
 	} {
-		desc, err := moteur.ParseDescriptor([]byte(fmt.Sprintf(descriptorXML, stage.name)))
+		desc, err := descriptor.Parse([]byte(fmt.Sprintf(descriptorXML, stage.name)))
 		if err != nil {
 			log.Fatal(err)
 		}
-		svc, err := moteur.NewWrapper(g, desc, moteur.ConstantRuntime(stage.runtime),
+		svc, err := services.NewWrapper(g, desc, services.ConstantRuntime(stage.runtime),
 			map[string]float64{"out": 7.8})
 		if err != nil {
 			log.Fatal(err)
@@ -77,7 +82,7 @@ func run(opts moteur.Options) (time.Duration, int) {
 	wf.AddSink("results")
 	wf.Connect("measure", "out", "results", "in")
 
-	enactor, err := moteur.NewEnactor(eng, wf, opts)
+	enactor, err := core.New(eng, wf, opts)
 	if err != nil {
 		log.Fatal(err)
 	}

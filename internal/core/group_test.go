@@ -405,3 +405,40 @@ func TestAutoGroupPreservesConstants(t *testing.T) {
 		t.Fatalf("constant missing from composed command: %q", jobs[0].Spec.Command)
 	}
 }
+
+// TestWrapperOnIdealGridMakespan drives the whole stack end to end — a
+// parsed descriptor, a wrapper-backed processor, the replica catalog and
+// the enactor — on a frictionless grid: with data and service
+// parallelism every item runs at once, so the makespan is exactly one
+// service time and every item reaches the sink.
+func TestWrapperOnIdealGridMakespan(t *testing.T) {
+	eng := sim.NewEngine()
+	g := grid.New(eng, grid.IdealConfig(64))
+	w := workflow.New("ideal")
+	w.AddSource("in")
+	w.AddService("filter", wrapperFor(t, g, "filter", 30*time.Second), []string{"in"}, []string{"out"})
+	w.AddSink("out")
+	w.Connect("in", workflow.SourcePort, "filter", "in")
+	w.Connect("filter", "out", "out", workflow.SinkPort)
+
+	var inputs []string
+	for i := 0; i < 5; i++ {
+		gfn := fmt.Sprintf("gfn://d%d", i)
+		g.Catalog().Register(gfn, 1)
+		inputs = append(inputs, gfn)
+	}
+	e, err := New(eng, w, Options{DataParallelism: true, ServiceParallelism: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := e.Run(map[string][]string{"in": inputs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Makespan != 30*time.Second {
+		t.Fatalf("makespan = %v, want 30s", res.Makespan)
+	}
+	if len(res.Outputs["out"]) != 5 {
+		t.Fatalf("outputs = %v", res.Outputs["out"])
+	}
+}

@@ -42,6 +42,29 @@ func TestConstantMatrixFormulas(t *testing.T) {
 	}
 }
 
+// TestHeterogeneousMatrixFormulas pins equations 1-4 on a matrix whose
+// rows and columns all differ, where the constant-time closed forms
+// cannot mask an index mix-up: Σ = 100, DP sums the per-service maxima,
+// SP is the critical path through the pipeline.
+func TestHeterogeneousMatrixFormulas(t *testing.T) {
+	m := Matrix{
+		{10 * time.Second, 20 * time.Second},
+		{30 * time.Second, 40 * time.Second},
+	}
+	if got := Sequential(m); got != 100*time.Second {
+		t.Errorf("Sequential = %v, want 100s", got)
+	}
+	if got := DP(m); got != 60*time.Second {
+		t.Errorf("DP = %v, want 60s", got)
+	}
+	if got := DSP(m); got != 60*time.Second {
+		t.Errorf("DSP = %v, want 60s", got)
+	}
+	if got := SP(m); got != 80*time.Second {
+		t.Errorf("SP = %v, want 80s", got)
+	}
+}
+
 func TestValidate(t *testing.T) {
 	if err := (Matrix{}).Validate(); err == nil {
 		t.Error("empty matrix validated")
