@@ -128,6 +128,12 @@ func New(cfg Config) (*Daemon, error) {
 	return d, nil
 }
 
+// readHeaderTimeout bounds how long a client may take to send its request
+// headers, so idle or trickling connections cannot pin server goroutines.
+// There is deliberately no write timeout: /snapshot and /metrics are
+// served under load and may take long to render.
+const readHeaderTimeout = 10 * time.Second
+
 // Start begins serving: the HTTP listener binds (when configured) and
 // the driver goroutine starts pacing the engine. It returns immediately;
 // use Wait to observe termination.
@@ -138,7 +144,7 @@ func (d *Daemon) Start() error {
 			return fmt.Errorf("daemon: listen %s: %w", d.cfg.Addr, err)
 		}
 		d.ln = ln
-		d.srv = &http.Server{Handler: d.mux()}
+		d.srv = &http.Server{Handler: d.mux(), ReadHeaderTimeout: readHeaderTimeout}
 		go func() {
 			if err := d.srv.Serve(ln); err != nil && !errors.Is(err, http.ErrServerClosed) {
 				d.cfg.Logf("moteurd: http: %v", err)

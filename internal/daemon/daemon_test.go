@@ -420,3 +420,19 @@ func TestFailedCampaignReplayExits(t *testing.T) {
 		t.Fatalf("failed-campaign replay report: %+v", rep.Tenants)
 	}
 }
+
+// TestOversizeBodyRefused posts request bodies past the size cap to both
+// body-reading endpoints: each must be refused with 413 without being
+// buffered, and the daemon must keep serving afterwards.
+func TestOversizeBodyRefused(t *testing.T) {
+	_, base := startServingDaemon(t, Config{Warp: 0})
+	huge := `{"name":"big","runtimeSeconds":1,"inputs":["` + strings.Repeat("x", maxBodyBytes) + `"]}`
+	for _, path := range []string{"/submit", "/outage"} {
+		if code, body := httpPost(t, base+path, huge); code != http.StatusRequestEntityTooLarge {
+			t.Errorf("POST %s with a %d-byte body: %d (%.80s), want 413", path, len(huge), code, body)
+		}
+	}
+	if code, body := httpGet(t, base+"/healthz"); code != http.StatusOK {
+		t.Fatalf("/healthz after oversize bodies: %d %q", code, body)
+	}
+}

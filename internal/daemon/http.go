@@ -2,6 +2,7 @@ package daemon
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"strings"
@@ -48,6 +49,10 @@ const (
 	maxRuntime = 365 * 24 * time.Hour
 	// maxOutputMB is the largest output file: one terabyte.
 	maxOutputMB = 1 << 20
+	// maxBodyBytes caps a /submit or /outage request body. A valid body
+	// is far smaller; past the cap the request is refused with 413 before
+	// the decoder buffers it.
+	maxBodyBytes = 1 << 20
 )
 
 // SubmitResponse is the /submit reply: the virtual instant the jobs
@@ -293,8 +298,7 @@ func (d *Daemon) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 // the running world at the current paced virtual instant.
 func (d *Daemon) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var req SubmitRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		http.Error(w, "bad request: "+err.Error(), http.StatusBadRequest)
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	if req.Name == "" {
@@ -362,8 +366,7 @@ func (d *Daemon) handleSubmit(w http.ResponseWriter, r *http.Request) {
 // grid.
 func (d *Daemon) handleOutage(w http.ResponseWriter, r *http.Request) {
 	var req OutageRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		http.Error(w, "bad request: "+err.Error(), http.StatusBadRequest)
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	var apply func(*federation.Federation, int)
@@ -404,6 +407,22 @@ func (d *Daemon) handleOutage(w http.ResponseWriter, r *http.Request) {
 		"action":         req.Action,
 		"virtualSeconds": time.Duration(at).Seconds(),
 	})
+}
+
+// decodeBody decodes the JSON request body into v, reading at most
+// maxBodyBytes. It answers 413 for an oversize body and 400 for a
+// malformed one, reporting whether the handler should go on.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(v)
+	if err == nil {
+		return true
+	}
+	if tooBig := new(http.MaxBytesError); errors.As(err, &tooBig) {
+		http.Error(w, fmt.Sprintf("request body exceeds %d bytes", tooBig.Limit), http.StatusRequestEntityTooLarge)
+		return false
+	}
+	http.Error(w, "bad request: "+err.Error(), http.StatusBadRequest)
+	return false
 }
 
 // writeJSON serializes v as the response body.
