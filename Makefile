@@ -104,9 +104,14 @@ storage-bench:
 scale-bench:
 	$(GO) test -bench BenchmarkFederationMetropolis -benchmem -benchtime 2x -run '^$$' . | tee BENCH_9.json
 
+# Remove build outputs and the untracked BENCH_*.json a bench target
+# wrote; committed BENCH files are the recorded history and stay.
 clean:
-	rm -f BENCH_1.json BENCH_2.json BENCH_3.json BENCH_4.json BENCH_5.json BENCH_6.json BENCH_9.json
-	rm -rf bin
+	rm -rf bin .bench_build
+	@for f in BENCH_*.json; do \
+		[ -e "$$f" ] || continue; \
+		git ls-files --error-unmatch "$$f" >/dev/null 2>&1 || rm -f "$$f"; \
+	done
 
 help:
 	@echo "Targets:"
@@ -124,4 +129,4 @@ help:
 	@echo "  wan-bench        contended per-pair WAN channels       -> BENCH_5.json"
 	@echo "  storage-bench    SE capacity churn, eviction, repair   -> BENCH_6.json"
 	@echo "  scale-bench      100k jobs x 8 grids, serial engine    -> BENCH_9.json"
-	@echo "  clean            remove BENCH_*.json"
+	@echo "  clean            remove bin/ and untracked BENCH_*.json outputs"
