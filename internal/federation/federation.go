@@ -82,8 +82,8 @@ type Config struct {
 	// and what the broker's locality-aware policies estimate that cost
 	// to be. Nil means grid.DefaultWAN (cross-grid fetches pay a real
 	// WAN link); pass grid.LocalLinks() to restore the location-blind
-	// federation where cross-grid staging was free. A per-pair
-	// grid.LinkMatrix is accepted like any other model.
+	// federation where cross-grid staging was free. Measured per-pair
+	// links ride in grid.Links.Pairs.
 	Links grid.LinkModel
 	// WANStreams, when positive, makes the WAN fabric contended: a
 	// capacity-limited shared channel (that many concurrent fetch legs)
