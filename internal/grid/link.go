@@ -50,8 +50,8 @@ type Link struct {
 }
 
 // maxCost bounds one fetch estimate at 2^53 ns (about 104 days): far past
-// any simulated span, yet small enough that a stage plan summing
-// thousands of capped estimates, and the engine clock adding one to the
+// any simulated span, yet small enough that a stage plan summing up to a
+// thousand capped estimates, and the engine clock adding one to the
 // current instant, stay inside time.Duration's range.
 const maxCost = time.Duration(1) << 53
 
@@ -64,7 +64,7 @@ func (l Link) Cost(sizeMB float64) time.Duration {
 	if l.Local {
 		return 0
 	}
-	d := l.Latency
+	d := min(max(l.Latency, 0), maxCost)
 	if l.MBps > 0 {
 		xfer := sizeMB / l.MBps * float64(time.Second)
 		if !(xfer < float64(maxCost)) {

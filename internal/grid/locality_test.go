@@ -134,6 +134,7 @@ func TestLinkClasses(t *testing.T) {
 		{"vanishing bandwidth plus latency saturates", Link{MBps: 1e-9, Latency: time.Hour}, 10, maxCost},
 		{"terabyte at 1 MB/s is exact", Link{MBps: 1, Latency: time.Second}, 1e6, time.Second + 1e6*time.Second},
 		{"huge latency saturates", Link{Latency: 1 << 62}, 0, maxCost},
+		{"huge latency plus a transfer saturates", Link{MBps: 1, Latency: 1<<63 - 1}, 10, maxCost},
 		{"negative latency clamps to zero", Link{Latency: -time.Hour}, 0, 0},
 		{"local ignores its fields", Link{Local: true, MBps: 1e-9}, 10, 0},
 	}

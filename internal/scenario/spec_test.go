@@ -146,25 +146,30 @@ func TestSpecRejectsWorldErrors(t *testing.T) {
 		"admission", "admission.maxUIBacklog must be positive")
 }
 
-// TestSpecTinyBandwidthCostsNonNegative is the regression for a
-// vanishing but positive bandwidth, which validation accepts: the class
-// and pair links it compiles to must price a fetch as prohibitively slow,
-// never as a negative duration that would win broker ranking and trip the
-// engine's negative-delay panic.
-func TestSpecTinyBandwidthCostsNonNegative(t *testing.T) {
-	doc := edit(t, `"grids": [{"name": "g0", "preset": "quiet", "nodes": 4}],`,
+// TestSpecLinkCostsNonNegative is the regression for link values that
+// validation accepts but that used to price a fetch below zero — a
+// vanishing positive bandwidth overflowed time.Duration, a negative
+// latency subtracted — an estimate that would win broker ranking and
+// trip the engine's negative-delay panic. Class and pair links alike
+// must cost at least zero.
+func TestSpecLinkCostsNonNegative(t *testing.T) {
+	twoGrids := edit(t, `"grids": [{"name": "g0", "preset": "quiet", "nodes": 4}],`,
 		`"grids": [{"name": "g0", "preset": "quiet", "nodes": 4}, {"name": "g1", "preset": "quiet", "nodes": 4}],`)
-	doc = strings.Replace(doc, `"links": {"local": true},`, `"links": {"wanMBps": 1e-9, "wanLatency": "5s",
-             "pairs": [{"from": "g0", "to": "g1", "mbps": 1e-9}]},`, 1)
-	spec, err := Parse([]byte(doc), "test.json")
-	if err != nil {
-		t.Fatal(err)
-	}
-	lm := spec.compileLinks()
-	consumer := grid.Site{Grid: "g1", Cluster: "c0"}
-	for _, from := range []grid.Site{{Grid: "g0", Cluster: "c0"}, {Grid: "g2", Cluster: "c0"}} {
-		if c := lm.Link(from, consumer).Cost(10); c <= 0 {
-			t.Errorf("Cost(10 MB) from %v = %v, want a large positive estimate", from, c)
+	for _, links := range []string{
+		`"links": {"wanMBps": 1e-9, "wanLatency": "5s", "pairs": [{"from": "g0", "to": "g1", "mbps": 1e-9}]},`,
+		`"links": {"wanMBps": 2, "wanLatency": "-1h", "pairs": [{"from": "g0", "to": "g1", "mbps": 2, "latency": "-1h"}]},`,
+	} {
+		doc := strings.Replace(twoGrids, `"links": {"local": true},`, links, 1)
+		spec, err := Parse([]byte(doc), "test.json")
+		if err != nil {
+			t.Fatal(err)
+		}
+		lm := spec.compileLinks()
+		consumer := grid.Site{Grid: "g1", Cluster: "c0"}
+		for _, from := range []grid.Site{{Grid: "g0", Cluster: "c0"}, {Grid: "g2", Cluster: "c0"}} {
+			if c := lm.Link(from, consumer).Cost(10); c < 0 {
+				t.Errorf("%s: Cost(10 MB) from %v = %v, want >= 0", links, from, c)
+			}
 		}
 	}
 }
