@@ -423,7 +423,7 @@ func TestFailedCampaignReplayExits(t *testing.T) {
 
 // TestOversizeBodyRefused posts request bodies past the size cap to both
 // body-reading endpoints: each must be refused with 413 without being
-// buffered, and the daemon must keep serving afterwards.
+// read in full, and the daemon must keep serving afterwards.
 func TestOversizeBodyRefused(t *testing.T) {
 	_, base := startServingDaemon(t, Config{Warp: 0})
 	huge := `{"name":"big","runtimeSeconds":1,"inputs":["` + strings.Repeat("x", maxBodyBytes) + `"]}`

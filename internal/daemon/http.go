@@ -50,8 +50,8 @@ const (
 	// maxOutputMB is the largest output file: one terabyte.
 	maxOutputMB = 1 << 20
 	// maxBodyBytes caps a /submit or /outage request body. A valid body
-	// is far smaller; past the cap the request is refused with 413 before
-	// the decoder buffers it.
+	// is far smaller; past the cap the request is refused with 413 and
+	// the rest of the body is never read.
 	maxBodyBytes = 1 << 20
 )
 
