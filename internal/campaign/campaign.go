@@ -526,9 +526,9 @@ func retune(eng *sim.Engine, site Site, r *tenantRun, nTenants int, campaignStar
 // stats) matters twice over: on a shared grid it keeps a bursty
 // co-tenant's inflated overheads out of this tenant's retuning, and on a
 // federation a single grid's record list would miss the jobs the broker
-// sent to other grids. Handle.Records materializes the partition (one
-// transient O(tenant jobs) slice per retune tick); in exchange the scan
-// itself no longer walks every other tenant's records.
+// sent to other grids. Handle.Records returns the handle's own partition
+// without copying, so a retune tick costs O(own jobs) and never walks
+// another tenant's records.
 func observe(t Handle) (jobs int, overhead, submit, compute time.Duration) {
 	for _, rec := range t.Records() {
 		if rec.Status != grid.StatusCompleted {

@@ -534,11 +534,11 @@ func (f *Federation) Phases() grid.PhaseStats {
 // (terminal state must be read from the callback's record — a re-brokered
 // job's final record is a different one, on a different grid).
 func (f *Federation) Submit(spec grid.JobSpec, done func(*grid.JobRecord)) *grid.JobRecord {
-	return f.submit("", spec, done)
+	return f.submit(f.Tenant(""), spec, done)
 }
 
-func (f *Federation) submit(tenant string, spec grid.JobSpec, done func(*grid.JobRecord)) *grid.JobRecord {
-	return f.dispatch(tenant, spec, done, f.pick(spec, -1), f.cfg.Rebroker)
+func (f *Federation) submit(t *Tenant, spec grid.JobSpec, done func(*grid.JobRecord)) *grid.JobRecord {
+	return f.dispatch(t, spec, done, f.pick(spec, -1), f.cfg.Rebroker)
 }
 
 // pick rebuilds the policy's views for this job and asks the policy for a
@@ -589,19 +589,21 @@ func (f *Federation) pick(spec grid.JobSpec, exclude int) int {
 // dispatch submits one attempt to member grid idx and arms the re-broker:
 // on terminal failure with retries left, the policy picks another grid
 // (excluding the one that just failed) and the spec is resubmitted there
-// as a fresh job.
-func (f *Federation) dispatch(tenant string, spec grid.JobSpec, done func(*grid.JobRecord), idx, retries int) *grid.JobRecord {
+// as a fresh job. Every attempt's record lands in both the federation's
+// list and the tenant's own partition.
+func (f *Federation) dispatch(t *Tenant, spec grid.JobSpec, done func(*grid.JobRecord), idx, retries int) *grid.JobRecord {
 	f.telem[idx].Dispatched++
-	rec := f.grids[idx].Tenant(tenant).Submit(spec, func(r *grid.JobRecord) {
+	rec := f.grids[idx].Tenant(t.name).Submit(spec, func(r *grid.JobRecord) {
 		f.observe(idx, r)
 		if r.Status == grid.StatusFailed && retries > 0 && len(f.grids) > 1 && rebrokerable(r) {
 			f.telem[idx].Rebrokered++
-			f.dispatch(tenant, spec, done, f.pick(spec, idx), retries-1)
+			f.dispatch(t, spec, done, f.pick(spec, idx), retries-1)
 			return
 		}
 		done(r)
 	})
 	f.records = append(f.records, rec)
+	t.records = append(t.records, rec)
 	return rec
 }
 
@@ -666,6 +668,10 @@ func ewma(prev, obs time.Duration, alpha float64) time.Duration {
 type Tenant struct {
 	f    *Federation
 	name string
+	// records is the tenant's partition of Federation.Records (every
+	// dispatched attempt, re-brokered ones included), appended alongside
+	// the federation-wide list.
+	records []*grid.JobRecord
 }
 
 // Tenant returns the submission handle for the named tenant, creating it
@@ -697,31 +703,26 @@ func (t *Tenant) Engine() *sim.Engine { return t.f.eng }
 // Federation.Submit; the only difference is the tenant tag carried onto
 // whichever grid the broker picks.
 func (t *Tenant) Submit(spec grid.JobSpec, done func(*grid.JobRecord)) *grid.JobRecord {
-	return t.f.submit(t.name, spec, done)
+	return t.f.submit(t, spec, done)
 }
 
 // Records returns this tenant's job records across all member grids, in
 // dispatch order. Records of in-flight jobs are included and still
-// mutating.
+// mutating. The slice is the handle's own partition, clipped so that
+// appending to it copies rather than writing into the handle's storage.
 func (t *Tenant) Records() []*grid.JobRecord {
-	var out []*grid.JobRecord
-	for _, r := range t.f.records {
-		if r.Tenant == t.name {
-			out = append(out, r)
-		}
-	}
-	return out
+	return t.records[:len(t.records):len(t.records)]
 }
 
 // Overheads computes overhead statistics over this tenant's jobs only,
 // across all member grids. The per-tenant statistics of all tenants
 // partition the federation-level Federation.Overheads.
 func (t *Tenant) Overheads() grid.OverheadStats {
-	return grid.OverheadsOf(t.Records())
+	return grid.OverheadsOf(t.records)
 }
 
 // Phases computes the mean per-phase latencies over this tenant's
 // completed jobs, across all member grids.
 func (t *Tenant) Phases() grid.PhaseStats {
-	return grid.PhasesOf(t.Records())
+	return grid.PhasesOf(t.records)
 }

@@ -232,11 +232,11 @@ type Grid struct {
 
 	// Fair-share submission gate in front of the serialized UI: one queue
 	// per tenant, drained round-robin (see pumpSubmits).
-	subQueues  map[string]*submitQueue
-	subRing    []string // tenants in first-submission order
-	subRR      int      // next ring slot to serve
-	subServed  int      // submissions served to slot subRR this round
-	subPending int      // accepted, UI latency not yet paid
+	subRing    []*Tenant // tenants in first-submission order
+	subActive  []uint64  // bit i set: subRing[i] has a pending submission
+	subRR      int       // next ring slot to serve
+	subServed  int       // submissions served to slot subRR this round
+	subPending int       // accepted, UI latency not yet paid
 	uiBusy     bool
 
 	// down marks the grid dark (see SetDown): every job attempt fails
@@ -271,13 +271,12 @@ func NewWithCatalog(eng *sim.Engine, cfg Config, cat *Catalog) *Grid {
 		cat = NewCatalog()
 	}
 	g := &Grid{
-		Eng:       eng,
-		cfg:       cfg,
-		broker:    sim.NewResource(eng, cfg.BrokerSlots),
-		catalog:   cat,
-		rnd:       rng.New(cfg.Seed),
-		tenants:   make(map[string]*Tenant),
-		subQueues: make(map[string]*submitQueue),
+		Eng:     eng,
+		cfg:     cfg,
+		broker:  sim.NewResource(eng, cfg.BrokerSlots),
+		catalog: cat,
+		rnd:     rng.New(cfg.Seed),
+		tenants: make(map[string]*Tenant),
 	}
 	// The catalog needs the engine clock for storage access-recency
 	// accounting; the first grid of a shared-catalog federation binds it.
@@ -523,15 +522,6 @@ func (g *Grid) stageBackoff() time.Duration {
 		return g.cfg.StageRetryBackoff
 	}
 	return defaultStageRetryBackoff
-}
-
-// tenantWeight returns the tenant's fair-share weight (1 unless raised by
-// Config.TenantWeights).
-func (g *Grid) tenantWeight(tenant string) int {
-	if w := g.cfg.TenantWeights[tenant]; w > 1 {
-		return w
-	}
-	return 1
 }
 
 func (g *Grid) drawLogNormal(mean, sd time.Duration) time.Duration {

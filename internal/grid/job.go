@@ -3,6 +3,7 @@ package grid
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 	"time"
 
 	"repro/internal/sim"
@@ -211,33 +212,28 @@ var ErrReplicaLost = errors.New("grid: every replica of an input is lost or unre
 // accounting and fair-share scheduling, submit through a Tenant handle
 // instead.
 func (g *Grid) Submit(spec JobSpec, done func(*JobRecord)) *JobRecord {
-	return g.submit("", spec, done)
+	return g.Tenant("").Submit(spec, done)
 }
 
-// pendingSubmit is one submission waiting at the fair-share gate in front
-// of the serialized UI.
-type pendingSubmit struct {
-	run *jobRun
-}
-
-// submitQueue is a FIFO of pending submissions with O(1) pops: a head
-// index advances instead of re-slicing, and the buffer compacts once the
-// dead prefix dominates (the same shape as core's tupleQueue). Popped
-// slots are zeroed so completed jobs' callbacks are not retained.
+// submitQueue is a FIFO of submissions waiting at the fair-share gate in
+// front of the serialized UI, with O(1) pops: a head index advances
+// instead of re-slicing, and the buffer compacts once the dead prefix
+// dominates (the same shape as core's tupleQueue). Popped slots are
+// zeroed so completed jobs' callbacks are not retained.
 type submitQueue struct {
-	buf  []pendingSubmit
+	buf  []*jobRun
 	head int
 }
 
 func (q *submitQueue) len() int { return len(q.buf) - q.head }
 
-func (q *submitQueue) push(ps pendingSubmit) { q.buf = append(q.buf, ps) }
+func (q *submitQueue) push(run *jobRun) { q.buf = append(q.buf, run) }
 
-func (q *submitQueue) peek() pendingSubmit { return q.buf[q.head] }
+func (q *submitQueue) peek() *jobRun { return q.buf[q.head] }
 
-func (q *submitQueue) pop() pendingSubmit {
-	ps := q.buf[q.head]
-	q.buf[q.head] = pendingSubmit{}
+func (q *submitQueue) pop() *jobRun {
+	run := q.buf[q.head]
+	q.buf[q.head] = nil
 	q.head++
 	if q.head == len(q.buf) {
 		q.buf = q.buf[:0]
@@ -248,17 +244,17 @@ func (q *submitQueue) pop() pendingSubmit {
 		q.buf = q.buf[:n]
 		q.head = 0
 	}
-	return ps
+	return run
 }
 
-func (g *Grid) submit(tenant string, spec JobSpec, done func(*JobRecord)) *JobRecord {
+func (g *Grid) submit(t *Tenant, spec JobSpec, done func(*JobRecord)) *JobRecord {
 	if done == nil {
 		panic("grid: Submit with nil completion callback")
 	}
 	rec := g.recs.New()
 	*rec = JobRecord{
 		ID:        g.nextID,
-		Tenant:    tenant,
+		Tenant:    t.name,
 		Grid:      g.cfg.Name,
 		Spec:      spec,
 		Status:    StatusSubmitted,
@@ -266,19 +262,39 @@ func (g *Grid) submit(tenant string, spec JobSpec, done func(*JobRecord)) *JobRe
 	}
 	g.nextID++
 	g.records = append(g.records, rec)
-	q, ok := g.subQueues[tenant]
-	if !ok {
+	t.records = append(t.records, rec)
+	if t.slot < 0 {
 		// First submission ever from this tenant: join the round-robin
-		// ring. Drained queues stay in the map so the ring has no
+		// ring. A drained tenant keeps its slot, so the ring has no
 		// duplicates.
-		q = &submitQueue{}
-		g.subQueues[tenant] = q
-		g.subRing = append(g.subRing, tenant)
+		t.slot, t.weight = len(g.subRing), max(g.cfg.TenantWeights[t.name], 1)
+		g.subRing = append(g.subRing, t)
+		if t.slot%64 == 0 {
+			g.subActive = append(g.subActive, 0)
+		}
 	}
-	q.push(pendingSubmit{g.newRun(rec, done)})
+	if t.queue.len() == 0 {
+		g.subActive[t.slot/64] |= 1 << (t.slot % 64)
+	}
+	t.queue.push(g.newRun(rec, done))
 	g.subPending++
 	g.pumpSubmits()
 	return rec
+}
+
+// firstActive returns the first ring slot at or after from whose tenant
+// has a pending submission, or -1 when there is none.
+func (g *Grid) firstActive(from int) int {
+	for w := from / 64; w < len(g.subActive); w++ {
+		word := g.subActive[w]
+		if w == from/64 {
+			word &= ^uint64(0) << (from % 64)
+		}
+		if word != 0 {
+			return w*64 + bits.TrailingZeros64(word)
+		}
+	}
+	return -1
 }
 
 // pumpSubmits starts the next submission on the serialized UI. The gate
@@ -292,32 +308,34 @@ func (g *Grid) submit(tenant string, spec JobSpec, done func(*JobRecord)) *JobRe
 // With a single tenant the gate degenerates to the plain FIFO of a
 // tenancy-unaware UI; Config.StrictFIFOSubmit restores that global FIFO
 // even across tenants, for fairness comparisons.
+//
+// Only ring slots with a pending submission are visited: subActive holds
+// one bit per slot, set when the slot's queue turns non-empty and cleared
+// when it drains, so the pick costs O(ring/64) word tests however many
+// tenants have gone idle.
 func (g *Grid) pumpSubmits() {
 	if g.uiBusy {
 		return
 	}
-	pick := -1 // index into subRing of the tenant to serve
+	pick := -1 // ring slot of the tenant to serve
 	if g.cfg.StrictFIFOSubmit {
 		bestID := -1
-		for i, tn := range g.subRing {
-			if q := g.subQueues[tn]; q.len() > 0 && (bestID < 0 || q.peek().run.rec.ID < bestID) {
-				bestID, pick = q.peek().run.rec.ID, i
+		for i := g.firstActive(0); i >= 0; i = g.firstActive(i + 1) {
+			if id := g.subRing[i].queue.peek().rec.ID; bestID < 0 || id < bestID {
+				bestID, pick = id, i
 			}
 		}
-	} else {
-		n := len(g.subRing)
-		for i := 0; i < n; i++ {
-			idx := (g.subRR + i) % n
-			if g.subQueues[g.subRing[idx]].len() > 0 {
-				pick = idx
-				break
-			}
-		}
+	} else if pick = g.firstActive(g.subRR); pick < 0 {
+		pick = g.firstActive(0) // wrap around the ring
 	}
 	if pick < 0 {
 		return
 	}
-	ps := g.subQueues[g.subRing[pick]].pop()
+	t := g.subRing[pick]
+	run := t.queue.pop()
+	if t.queue.len() == 0 {
+		g.subActive[pick/64] &^= 1 << (pick % 64)
+	}
 	if !g.cfg.StrictFIFOSubmit {
 		if pick != g.subRR {
 			// The ring moved past empty queues: the served counter belongs
@@ -325,7 +343,7 @@ func (g *Grid) pumpSubmits() {
 			g.subRR, g.subServed = pick, 0
 		}
 		g.subServed++
-		if g.subServed >= g.tenantWeight(g.subRing[pick]) {
+		if g.subServed >= t.weight {
 			g.subRR = (pick + 1) % len(g.subRing)
 			g.subServed = 0
 		}
@@ -342,7 +360,7 @@ func (g *Grid) pumpSubmits() {
 		}
 		d = time.Duration(float64(d) * mult)
 	}
-	g.Eng.ScheduleArg(d, uiLatencyPaid, ps.run)
+	g.Eng.ScheduleArg(d, uiLatencyPaid, run)
 }
 
 // uiLatencyPaid runs when a submission's serialized UI latency elapses:

@@ -42,7 +42,7 @@ func TestOverheadPercentileEdges(t *testing.T) {
 		{"n=10 even", mk(10, 9, 8, 7, 6, 5, 4, 3, 2, 1), sec(6), sec(10), sec(1), sec(10)},
 	}
 	for _, c := range cases {
-		st := overheadStats(c.recs, nil)
+		st := OverheadsOf(c.recs)
 		if st.Jobs != len(c.recs) {
 			t.Errorf("%s: Jobs = %d", c.name, st.Jobs)
 		}
@@ -54,7 +54,7 @@ func TestOverheadPercentileEdges(t *testing.T) {
 			t.Errorf("%s: percentile ordering violated: %+v", c.name, st)
 		}
 	}
-	if st := overheadStats(nil, nil); st.Jobs != 0 || st.String() != "no completed jobs" {
+	if st := OverheadsOf(nil); st.Jobs != 0 || st.String() != "no completed jobs" {
 		t.Errorf("empty stats = %+v", st)
 	}
 }
@@ -70,7 +70,7 @@ func TestResubmitsCountTerminalJobsOnly(t *testing.T) {
 		{Status: StatusSubmitted, Attempts: 0}, // not yet matched
 		completedRec(2*time.Second, 1),         // clean run
 	}
-	st := overheadStats(recs, nil)
+	st := OverheadsOf(recs)
 	if st.Resubmits != 6 {
 		t.Fatalf("Resubmits = %d, want 6 (terminal jobs only)", st.Resubmits)
 	}

@@ -6,7 +6,8 @@ import "repro/internal/sim"
 // multi-tenancy: every job submitted through the handle is tagged with the
 // tenant's name, the fair-share gate at the serialized UI drains tenants
 // round-robin so no tenant's burst starves the others, and the per-tenant
-// statistics filter the global record set down to this tenant's jobs.
+// statistics read the tenant's own record partition, so they cost
+// O(own jobs) however many tenants share the grid.
 //
 // Handles are memoized: Grid.Tenant returns the same *Tenant for the same
 // name, so handle identity can stand in for tenant identity (grouped
@@ -15,6 +16,16 @@ import "repro/internal/sim"
 type Tenant struct {
 	g    *Grid
 	name string
+
+	// slot is the tenant's fair-share ring slot (-1 until its first
+	// submission) and weight its Config.TenantWeights drain quota; queue
+	// holds its submissions waiting at the gate.
+	slot   int
+	weight int
+	queue  submitQueue
+	// records is the tenant's partition of Grid.Records, appended
+	// alongside the global list.
+	records []*JobRecord
 }
 
 // Tenant returns the submission handle for the named tenant, creating it
@@ -23,7 +34,7 @@ func (g *Grid) Tenant(name string) *Tenant {
 	if t, ok := g.tenants[name]; ok {
 		return t
 	}
-	t := &Tenant{g: g, name: name}
+	t := &Tenant{g: g, name: name, slot: -1}
 	g.tenants[name] = t
 	return t
 }
@@ -48,19 +59,15 @@ func (t *Tenant) Engine() *sim.Engine { return t.g.Eng }
 // Grid.Submit; the only differences are the tenant tag on the record and
 // the fair-share queue the submission waits in.
 func (t *Tenant) Submit(spec JobSpec, done func(*JobRecord)) *JobRecord {
-	return t.g.submit(t.name, spec, done)
+	return t.g.submit(t, spec, done)
 }
 
 // Records returns this tenant's job records, in submission order. Records
-// of in-flight jobs are included and still mutating.
+// of in-flight jobs are included and still mutating. The slice is the
+// handle's own partition, clipped so that appending to it copies rather
+// than writing into the handle's storage.
 func (t *Tenant) Records() []*JobRecord {
-	var out []*JobRecord
-	for _, r := range t.g.records {
-		if r.Tenant == t.name {
-			out = append(out, r)
-		}
-	}
-	return out
+	return t.records[:len(t.records):len(t.records)]
 }
 
 // Overheads computes overhead statistics over this tenant's jobs only.
@@ -68,13 +75,11 @@ func (t *Tenant) Records() []*JobRecord {
 // statistics of all tenants partition the global Grid.Overheads: job,
 // failure and resubmission counts sum to the global ones.
 func (t *Tenant) Overheads() OverheadStats {
-	return overheadStats(t.g.records, t.owns)
+	return OverheadsOf(t.records)
 }
 
 // Phases computes the mean per-phase latencies over this tenant's
 // completed jobs only.
 func (t *Tenant) Phases() PhaseStats {
-	return phaseStats(t.g.records, t.owns)
+	return PhasesOf(t.records)
 }
-
-func (t *Tenant) owns(r *JobRecord) bool { return r.Tenant == t.name }
