@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet lint scenarios daemon-smoke bench campaign-bench federation-bench locality-bench wan-bench storage-bench scale-bench clean help
+.PHONY: all build test vet lint scenarios daemon-smoke perfbench bench campaign-bench federation-bench locality-bench wan-bench storage-bench scale-bench clean help
 
 all: vet lint build test
 
@@ -56,6 +56,14 @@ daemon-smoke:
 	kill -TERM $$pid; wait $$pid; \
 	grep -q '"final": true' "$$dir/latest.json"; \
 	echo "daemon-smoke: OK"
+
+# Repository benchmark smoke: every perfbench workload (metropolis,
+# storage-churn, wan-deep, daemon-submit) for a one-second window each.
+# perfbench exits 1 unless every workload reproduces its pinned
+# fingerprint and passes its conservation audits; the timings it prints
+# are a smoke, not a measurement.
+perfbench:
+	bash perfbench/run.sh --workload all --seconds 1
 
 # Full benchmark suite (paper tables, ablations, enactor scaling) with
 # allocation stats; the raw output is kept for cross-change comparison.
@@ -122,6 +130,7 @@ help:
 	@echo "  lint             determinism lint (cmd/moteurvet as vettool) + gofmt -l"
 	@echo "  scenarios        run the scenarios/*.json library, one results row each"
 	@echo "  daemon-smoke     boot moteurd, submit over HTTP, scrape /metrics, snapshot"
+	@echo "  perfbench        every perfbench workload for 1s; fails on a pin or audit"
 	@echo "  bench            full paper suite                      -> BENCH_1.json"
 	@echo "  campaign-bench   32-tenant shared-grid campaign        -> BENCH_2.json"
 	@echo "  federation-bench 4 grids x 16 tenants, ranked broker   -> BENCH_3.json"
