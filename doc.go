@@ -10,7 +10,9 @@
 // internal/grid and internal/sim simulate an EGEE-style production grid,
 // and internal/campaign, internal/federation, internal/scenario and
 // internal/daemon run multi-tenant campaigns across federated grids.
-// The programs under examples/ and cmd/ use them directly.
+// The programs under examples/ and cmd/ use them directly; the CLIs
+// that run federated campaigns (cmd/federation, cmd/moteurd) take their
+// world only from a scenario file under scenarios/.
 //
 // This package holds only the repository-level benchmarks (the paper's
 // tables, enactor and campaign scaling, the federation tiers) and their

@@ -24,8 +24,9 @@ import (
 // was re-verified against the paper under the experiment's median-of-5
 // protocol before pinning (TestMedianOrderingAt126 — note the pinned
 // single-seed SP+DP cell at 126 is itself a within-noise flip above the
-// DP cell). Regenerate with `go run ./cmd/goldengen` only when an
-// intentional semantic change is made, and say so in the commit.
+// DP cell). Regenerate only when an intentional semantic change is
+// made, and say so in the commit: a mismatching cell's failure prints
+// its replacement row, ready to paste over the old one.
 var goldenFingerprints = []struct {
 	config   string
 	size     int
@@ -74,10 +75,6 @@ func TestGoldenDeterminism(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if res.Makespan != g.makespan {
-				t.Errorf("makespan = %d (%v), golden %d (%v)",
-					res.Makespan, res.Makespan, g.makespan, g.makespan)
-			}
 			h := fnv.New64a()
 			for _, inv := range res.Trace.Invocations {
 				fmt.Fprintf(h, "%s|%s|%d|%d|%d;", inv.Processor, inv.Key(),
@@ -88,8 +85,10 @@ func TestGoldenDeterminism(t *testing.T) {
 					fmt.Fprintf(h, "%s;", v)
 				}
 			}
-			if got := h.Sum64(); got != g.hash {
-				t.Errorf("trace fingerprint = %#x, golden %#x", got, g.hash)
+			if got := h.Sum64(); res.Makespan != g.makespan || got != g.hash {
+				t.Errorf("makespan = %d (%v), golden %d (%v); trace fingerprint = %#x, golden %#x\nreplacement row: {%q, %d, %d, %#x},",
+					res.Makespan, res.Makespan, g.makespan, g.makespan, got, g.hash,
+					g.config, g.size, res.Makespan, got)
 			}
 		})
 	}

@@ -40,9 +40,6 @@ func NewFabric(eng *sim.Engine, streams int) *Fabric {
 	}
 }
 
-// Streams returns the default per-pair channel capacity.
-func (f *Fabric) Streams() int { return f.streams }
-
 // Engine returns the engine the fabric's channels run on. Consumers that
 // are handed a pre-built fabric (federation.Config.Fabric) validate it
 // against their own engine: channels scheduling on a foreign engine

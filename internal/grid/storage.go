@@ -183,13 +183,6 @@ func (c *Catalog) SetSEDown(site Site, down bool) {
 	}
 }
 
-// SEDown reports whether the site's storage element is dark (false for
-// sites without an element).
-func (c *Catalog) SEDown(site Site) bool {
-	se := c.storage[site.key()]
-	return se != nil && se.down
-}
-
 // setGridDark marks every storage element of the named grid dark (the
 // grid itself went down, or its storage did — Grid.SetDown and
 // Grid.SetStorageDown both push through here, which is what makes a
@@ -250,9 +243,6 @@ func (c *Catalog) SetReplicaFloor(k int) {
 	}
 	c.floor = k
 }
-
-// ReplicaFloor returns the configured replication floor.
-func (c *Catalog) ReplicaFloor() int { return c.floor }
 
 // SetRepairHook registers the callback invoked, synchronously and inside
 // the engine's virtual time, whenever a file's live replica count drops

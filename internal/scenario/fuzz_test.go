@@ -2,39 +2,55 @@ package scenario
 
 import (
 	"errors"
-	"math"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"repro/internal/grid"
 )
 
-// The CLI fragment parsers read untrusted flag values. Their fuzz
-// properties: no input panics, every rejection wraps ErrParse, and every
-// accepted value is one the world builder can use as is. Seed corpora
-// live in testdata/fuzz/<target>; run one target with
-// go test ./internal/scenario -run '^$' -fuzz FuzzParsePairs -fuzztime 10s
+// The spec parser and the CLI fragment parsers read untrusted input.
+// Their fuzz properties: no input panics, every fragment rejection wraps
+// ErrParse, and every accepted value is one the world builder can use as
+// is. Seed corpora live in testdata/fuzz/<target>; run one target with
+// go test ./internal/scenario -run '^$' -fuzz FuzzParseSpec -fuzztime 10s
 
 // fuzzSizesMB spans a fetch from nothing to a terabyte.
-var fuzzSizesMB = []float64{0, 1e-3, 1, 10, 1e3, 1e6}
+var fuzzSizesMB = []float64{0, 1e-3, 1, 1e3, 1e6}
 
-func FuzzParsePairs(f *testing.F) {
-	f.Fuzz(func(t *testing.T, s string) {
-		for _, classes := range []*grid.Links{nil, grid.DefaultWAN()} {
-			m, err := ParsePairs(s, classes)
-			if err != nil {
-				if !errors.Is(err, ErrParse) {
-					t.Fatalf("ParsePairs(%q) = %v, want an ErrParse", s, err)
-				}
-				continue
-			}
-			//moteur:orderinvariant each pair is checked independently
-			for pair, l := range m.Pairs {
-				if !(l.MBps > 0) || math.IsInf(l.MBps, 0) || l.Latency < 0 {
-					t.Fatalf("ParsePairs(%q) accepted %v = %+v", s, pair, l)
-				}
+// FuzzParseSpec feeds whole scenario documents to Parse, seeded with the
+// library and with extreme link pairs. Every spec it accepts must price
+// every ordered pair of its member grids, across clusters, at a
+// non-negative cost: a negative estimate would win broker ranking and
+// trip the engine's negative-delay panic.
+func FuzzParseSpec(f *testing.F) {
+	paths, err := filepath.Glob("../../scenarios/*.json")
+	if err != nil || len(paths) == 0 {
+		f.Fatalf("no library scenarios to seed from (%v)", err)
+	}
+	for _, p := range paths {
+		data, err := os.ReadFile(p)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		s, err := Parse(data, "fuzz.json")
+		if err != nil {
+			return
+		}
+		lm := s.compileLinks()
+		if lm == nil {
+			lm = grid.DefaultWAN() // the federation default for a nil model
+		}
+		names := s.GridNames()
+		for _, from := range names {
+			for _, to := range names {
+				l := lm.Link(grid.Site{Grid: from, Cluster: "a"}, grid.Site{Grid: to, Cluster: "b"})
 				for _, mb := range fuzzSizesMB {
 					if c := l.Cost(mb); c < 0 {
-						t.Fatalf("ParsePairs(%q): %v costs %v for %v MB", s, pair, c, mb)
+						t.Fatalf("%s>%s costs %v for %v MB (link %+v)", from, to, c, mb, l)
 					}
 				}
 			}
@@ -68,23 +84,6 @@ func FuzzParsePolicy(f *testing.F) {
 		}
 		if p == nil {
 			t.Fatalf("ParsePolicy(%q, %d) accepted a nil policy", name, grids)
-		}
-	})
-}
-
-func FuzzParseFloats(f *testing.F) {
-	f.Fuzz(func(t *testing.T, s string) {
-		vs, err := ParseFloats(s)
-		if err != nil {
-			if !errors.Is(err, ErrParse) {
-				t.Fatalf("ParseFloats(%q) = %v, want an ErrParse", s, err)
-			}
-			return
-		}
-		for _, v := range vs {
-			if math.IsNaN(v) || math.IsInf(v, 0) {
-				t.Fatalf("ParseFloats(%q) accepted %v", s, v)
-			}
 		}
 	})
 }

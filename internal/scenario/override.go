@@ -5,10 +5,10 @@ import (
 	"time"
 )
 
-// Overrides carries CLI-level adjustments layered over a loaded spec:
-// when a scenario file is in play, the flags of cmd/federation and
-// cmd/campaign stop describing whole worlds and become overrides of the
-// named scenario. Nil pointer fields leave the spec untouched.
+// Overrides carries CLI-level adjustments layered over a loaded spec. A
+// scenario file is the only world description; the flags of
+// cmd/federation only adjust it, and only the ones actually given. Nil
+// pointer fields leave the spec untouched.
 type Overrides struct {
 	// Seed replaces the spec's root seed.
 	Seed *uint64
@@ -111,7 +111,7 @@ func (o Overrides) Apply(s *Spec) error {
 			}
 		}
 		if !hit {
-			return fmt.Errorf("scenario %s: -file-mb override needs a constant-size tenant group", s.Name)
+			return fmt.Errorf("scenario %s: -filemb override needs a constant-size tenant group", s.Name)
 		}
 	}
 	if o.Spread != nil {

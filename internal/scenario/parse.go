@@ -3,7 +3,6 @@ package scenario
 import (
 	"errors"
 	"fmt"
-	"math"
 	"strconv"
 	"strings"
 	"time"
@@ -12,14 +11,15 @@ import (
 	"repro/internal/grid"
 )
 
-// ErrParse marks a malformed CLI scenario fragment (an -outage window, a
-// -pairs matrix entry, a policy name); callers distinguish user input
-// errors from world-construction failures with errors.Is.
+// ErrParse marks a malformed scenario fragment (an outage window given
+// on the command line, a broker or eviction policy name); callers
+// distinguish user input errors from world-construction failures with
+// errors.Is.
 var ErrParse = errors.New("scenario: parse error")
 
 // ParseOutage reads a name@start+duration outage window ("+duration" is
 // optional: without it the grid never recovers). It is the parser behind
-// cmd/federation's -outage and -se-outage flags.
+// the -outage and -se-outage overrides of cmd/federation.
 func ParseOutage(s string) (federation.Outage, error) {
 	name, window, ok := strings.Cut(s, "@")
 	if !ok || name == "" {
@@ -43,50 +43,6 @@ func ParseOutage(s string) (federation.Outage, error) {
 		}
 	}
 	return o, nil
-}
-
-// ParsePairs reads a from>to=MBps:latency[,...] per-pair override list
-// into a link model that keeps the given class links (nil means zero
-// classes: unlisted pairs are local) and prices the listed pairs as
-// listed. It is the parser behind cmd/federation's -pairs flag.
-func ParsePairs(s string, classes *grid.Links) (*grid.Links, error) {
-	m := &grid.Links{Pairs: make(map[grid.GridPair]grid.Link)}
-	if classes != nil {
-		m.IntraGrid, m.WAN = classes.IntraGrid, classes.WAN
-	}
-	for _, entry := range strings.Split(s, ",") {
-		pair, link, ok := strings.Cut(strings.TrimSpace(entry), "=")
-		if !ok {
-			return nil, fmt.Errorf("%w: want from>to=MBps:latency, got %q", ErrParse, entry)
-		}
-		from, to, ok := strings.Cut(pair, ">")
-		if !ok || from == "" || to == "" {
-			return nil, fmt.Errorf("%w: bad pair in %q", ErrParse, entry)
-		}
-		mbps, lat, ok := strings.Cut(link, ":")
-		if !ok {
-			return nil, fmt.Errorf("%w: bad link in %q (want MBps:latency)", ErrParse, entry)
-		}
-		bw, err := strconv.ParseFloat(mbps, 64)
-		if err != nil {
-			return nil, fmt.Errorf("%w: bad bandwidth in %q: %w", ErrParse, entry, err)
-		}
-		if !(bw > 0) || math.IsInf(bw, 0) {
-			// Link.Cost treats MBps <= 0 (and NaN) as latency-only
-			// (infinite bandwidth), so a typo would silently run a
-			// different experiment than the table claims.
-			return nil, fmt.Errorf("%w: bandwidth in %q must be positive and finite", ErrParse, entry)
-		}
-		latency, err := time.ParseDuration(lat)
-		if err != nil {
-			return nil, fmt.Errorf("%w: bad latency in %q: %w", ErrParse, entry, err)
-		}
-		if latency < 0 {
-			return nil, fmt.Errorf("%w: negative latency in %q", ErrParse, entry)
-		}
-		m.Pairs[grid.GridPair{From: from, To: to}] = grid.Link{MBps: bw, Latency: latency}
-	}
-	return m, nil
 }
 
 // ParsePolicy resolves a broker policy name (ranked, ranked-blind,
@@ -116,20 +72,6 @@ func ParsePolicy(name string, grids int) (federation.Policy, error) {
 		return federation.Pinned(idx), nil
 	}
 	return nil, fmt.Errorf("%w: unknown policy %q (want ranked|ranked-blind|ranked-safe|backlog|rr|pinned:N)", ErrParse, name)
-}
-
-// ParseFloats parses a comma-separated list of finite floats (sweep axis
-// values).
-func ParseFloats(s string) ([]float64, error) {
-	var out []float64
-	for _, f := range strings.Split(s, ",") {
-		v, err := strconv.ParseFloat(strings.TrimSpace(f), 64)
-		if err != nil || math.IsNaN(v) || math.IsInf(v, 0) {
-			return nil, fmt.Errorf("%w: bad value %q", ErrParse, f)
-		}
-		out = append(out, v)
-	}
-	return out, nil
 }
 
 // ParseEviction resolves an eviction policy name (lru, popularity).

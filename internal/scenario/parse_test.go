@@ -4,8 +4,6 @@ import (
 	"errors"
 	"testing"
 	"time"
-
-	"repro/internal/grid"
 )
 
 // TestParseOutage covers the name@start+duration grammar shared by the
@@ -44,56 +42,6 @@ func TestParseOutage(t *testing.T) {
 	}
 }
 
-// TestParsePairs covers the from>to=MBps:latency per-pair override list
-// behind -pairs, including the silent-typo traps (non-positive bandwidth
-// would mean infinite bandwidth downstream, and so would NaN).
-func TestParsePairs(t *testing.T) {
-	fallback := &grid.Links{WAN: grid.Link{MBps: 2, Latency: 5 * time.Second}}
-	m, err := ParsePairs("g0>g1=0.5:15s, g1>g0=1:2s", fallback)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(m.Pairs) != 2 {
-		t.Fatalf("parsed %d pairs, want 2", len(m.Pairs))
-	}
-	if l := m.Pairs[grid.GridPair{From: "g0", To: "g1"}]; l.MBps != 0.5 || l.Latency != 15*time.Second {
-		t.Fatalf("g0>g1 parsed as %+v", l)
-	}
-	if m.WAN != fallback.WAN || m.IntraGrid != fallback.IntraGrid || fallback.Pairs != nil {
-		t.Fatalf("class links not kept (or the input mutated): %+v from %+v", m, fallback)
-	}
-	bare, err := ParsePairs("g0>g1=1:1s", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bare.WAN != (grid.Link{}) || len(bare.Pairs) != 1 {
-		t.Fatalf("nil classes parsed as %+v, want zero classes plus one pair", bare)
-	}
-	for _, bad := range []string{
-		"",                 // no entry at all
-		"g0>g1",            // no link
-		">g1=1:2s",         // empty from
-		"g0>=1:2s",         // empty to
-		"g0-g1=1:2s",       // wrong pair separator
-		"g0>g1=1",          // no latency
-		"g0>g1=fast:2s",    // bad bandwidth
-		"g0>g1=0:2s",       // zero bandwidth (means infinite downstream)
-		"g0>g1=-1:2s",      // negative bandwidth
-		"g0>g1=NaN:1s",     // NaN bandwidth (would be latency-only)
-		"g0>g1=nan:1s",     // NaN, lower case
-		"g0>g1=Inf:1s",     // infinite bandwidth
-		"g0>g1=-Inf:1s",    // negative infinity
-		"g0>g1=1e400:1s",   // overflows to infinity
-		"g0>g1=1:soon",     // bad latency
-		"g0>g1=1:-2s",      // negative latency
-		"g0>g1=1:2s,extra", // valid entry then junk
-	} {
-		if _, err := ParsePairs(bad, fallback); !errors.Is(err, ErrParse) {
-			t.Errorf("ParsePairs(%q) = %v, want ErrParse", bad, err)
-		}
-	}
-}
-
 // TestParsePolicy covers every broker policy name and the pinned-index
 // range check against the federation size.
 func TestParsePolicy(t *testing.T) {
@@ -114,22 +62,6 @@ func TestParsePolicy(t *testing.T) {
 	} {
 		if _, err := ParsePolicy(bad, 4); !errors.Is(err, ErrParse) {
 			t.Errorf("ParsePolicy(%q, 4) = %v, want ErrParse", bad, err)
-		}
-	}
-}
-
-// TestParseFloats covers the comma-separated sweep axis grammar.
-func TestParseFloats(t *testing.T) {
-	got, err := ParseFloats("0, 0.5,1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 3 || got[0] != 0 || got[1] != 0.5 || got[2] != 1 {
-		t.Fatalf("parsed %v", got)
-	}
-	for _, bad := range []string{"", "0,,1", "0,half", "0;1", "NaN", "0,Inf", "-inf", "1e400"} {
-		if _, err := ParseFloats(bad); !errors.Is(err, ErrParse) {
-			t.Errorf("ParseFloats(%q) = %v, want ErrParse", bad, err)
 		}
 	}
 }

@@ -28,6 +28,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"time"
@@ -414,6 +415,9 @@ func Parse(data []byte, file string) (*Spec, error) {
 	if err := dec.Decode(&s); err != nil {
 		return nil, decodeError(data, file, err)
 	}
+	if _, err := dec.Token(); err != io.EOF {
+		return nil, fmt.Errorf("scenario %s: line %d: trailing data after the spec object", file, lineOfOffset(data, dec.InputOffset()))
+	}
 	s.raw, s.file = data, file
 	if err := s.Validate(); err != nil {
 		return nil, err
@@ -490,6 +494,10 @@ func (s *Spec) errAt(token, format string, args ...any) error {
 	return fmt.Errorf("scenario %s: %s", name, msg)
 }
 
+// maxGrids bounds the member-grid count a spec may expand to. The
+// largest library world has 8 grids.
+const maxGrids = 1024
+
 // GridNames returns the expanded member-grid names in brokering order.
 func (s *Spec) GridNames() []string {
 	var names []string
@@ -534,6 +542,7 @@ func (s *Spec) Validate() error {
 		return s.errAt(s.Name, "scenario has no grids")
 	}
 	gridSet := make(map[string]bool)
+	total := 0
 	for _, g := range s.Grids {
 		if g.Name == "" {
 			return s.errAt(s.Name, "grid with an empty name")
@@ -541,6 +550,13 @@ func (s *Spec) Validate() error {
 		if g.Count < 0 {
 			return s.errAt(g.Name, "grid %q has a negative count", g.Name)
 		}
+		// Bound the expansion before GridNames materializes it: one
+		// mistyped count would otherwise allocate without limit.
+		n := max(g.Count, 1)
+		if n > maxGrids-total {
+			return s.errAt(g.Name, "grid families expand to more than %d member grids", maxGrids)
+		}
+		total += n
 		switch g.Preset {
 		case "", "quiet", "default":
 		default:

@@ -81,6 +81,9 @@ func TestSpecRejectsStructuralErrors(t *testing.T) {
   "frobnicate": 1,`)
 	mustReject(t, doc, "frobnicate", `unknown field "frobnicate"`)
 
+	// Anything after the spec object is rejected, not silently dropped.
+	mustReject(t, baselineDoc+"\n,extra", "", "line 13: trailing data")
+
 	// A bare-number duration is rejected: seconds vs milliseconds
 	// ambiguity is exactly what the string form exists to prevent.
 	doc = edit(t, `"runtime": "10s"`, `"runtime": 10`)
@@ -100,6 +103,13 @@ func TestSpecRejectsWorldErrors(t *testing.T) {
 	mustReject(t, edit(t, `"preset": "quiet"`, `"preset": "warp"`), "warp", `unknown preset "warp"`)
 	mustReject(t, edit(t, `"grids": [{"name": "g0", "preset": "quiet", "nodes": 4}],`,
 		`"grids": [{"name": "g0"}, {"name": "g0"}],`), "g0", `duplicate grid name "g0"`)
+
+	// A grid family is bounded before it is expanded: this count used to
+	// exhaust memory inside Parse.
+	mustReject(t, edit(t, `"grids": [{"name": "g0", "preset": "quiet", "nodes": 4}],`,
+		`"grids": [{"name": "g", "count": 300000000}],`), "g", "more than 1024 member grids")
+	mustReject(t, edit(t, `"grids": [{"name": "g0", "preset": "quiet", "nodes": 4}],`,
+		`"grids": [{"name": "h"}, {"name": "g", "count": 1024}],`), "g", "more than 1024 member grids")
 
 	// links.local is exclusive with every other link field.
 	mustReject(t, edit(t, `"links": {"local": true},`, `"links": {"local": true, "wanMBps": 2},`),

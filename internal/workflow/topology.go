@@ -19,9 +19,8 @@ type Topology struct {
 	names []string       // insertion order
 	index map[string]int // name → position in names
 
-	outgoing       [][]Link            // per proc, links leaving it, in w.Links order
-	outgoingByPort []map[string][]Link // per proc, out port → links, in w.Links order
-	incoming       []map[string][]Link // per proc, in port → links, in w.Links order
+	outgoing [][]Link            // per proc, links leaving it, in w.Links order
+	incoming []map[string][]Link // per proc, in port → links, in w.Links order
 
 	preds [][]string // distinct data+constraint predecessors, sorted
 	succs [][]string // distinct data+constraint successors, sorted
@@ -42,9 +41,8 @@ func (w *Workflow) Topology() *Topology {
 		names: append([]string(nil), w.order...),
 		index: make(map[string]int, n),
 
-		outgoing:       make([][]Link, n),
-		outgoingByPort: make([]map[string][]Link, n),
-		incoming:       make([]map[string][]Link, n),
+		outgoing: make([][]Link, n),
+		incoming: make([]map[string][]Link, n),
 
 		preds: make([][]string, n),
 		succs: make([][]string, n),
@@ -68,10 +66,6 @@ func (w *Workflow) Topology() *Topology {
 	for _, l := range w.Links {
 		if i, ok := t.index[l.FromProc]; ok {
 			t.outgoing[i] = append(t.outgoing[i], l)
-			if t.outgoingByPort[i] == nil {
-				t.outgoingByPort[i] = make(map[string][]Link)
-			}
-			t.outgoingByPort[i][l.FromPort] = append(t.outgoingByPort[i][l.FromPort], l)
 			succSets[i][l.ToProc] = true
 		}
 		if i, ok := t.index[l.ToProc]; ok {
@@ -120,16 +114,6 @@ func (t *Topology) Outgoing(name string) []Link {
 		return nil
 	}
 	return t.outgoing[i]
-}
-
-// OutgoingOn returns the links leaving the processor on one output port,
-// in declaration order. The caller must not modify the returned slice.
-func (t *Topology) OutgoingOn(name, port string) []Link {
-	i, ok := t.index[name]
-	if !ok || t.outgoingByPort[i] == nil {
-		return nil
-	}
-	return t.outgoingByPort[i][port]
 }
 
 // Incoming returns the links feeding the processor, grouped by input
