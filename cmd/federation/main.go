@@ -186,7 +186,7 @@ func main() {
 			label = "policy"
 		}
 	}
-	header(label, 20)
+	header(label)
 	for _, j := range jobs {
 		run(j.spec, j.label, *verbose)
 	}
@@ -225,7 +225,7 @@ func run(spec *scenario.Spec, label string, verbose bool) {
 		os.Exit(1)
 	}
 	rep := x.Run()
-	row(label, 20, rep, w.Fed)
+	row(label, rep, w.Fed)
 	if verbose {
 		printTenants(rep)
 		printVerbose(w.Fed)
@@ -233,16 +233,16 @@ func run(spec *scenario.Spec, label string, verbose bool) {
 }
 
 // header prints the results-table column header with the given label
-// column.
-func header(label string, width int) {
-	fmt.Printf("%-*s %12s %12s %12s %6s %6s %10s %10s %10s %10s %5s %8s %6s\n",
-		width, label, "span", "p50", "p95", "jobs", "failed", "resubmits", "wan_mb", "wan_wait", "evicted_mb", "lost", "restage", "grids")
+// column title.
+func header(label string) {
+	fmt.Printf("%-20s %12s %12s %12s %6s %6s %10s %10s %10s %10s %5s %8s %6s\n",
+		label, "span", "p50", "p95", "jobs", "failed", "resubmits", "wan_mb", "wan_wait", "evicted_mb", "lost", "restage", "grids")
 }
 
 // row aggregates one run into a results-table row: makespan percentiles
 // across tenants, WAN bytes and waits actually paid, storage churn and
 // replica-loss counts.
-func row(label string, width int, rep *campaign.Report, fed *federation.Federation) {
+func row(label string, rep *campaign.Report, fed *federation.Federation) {
 	ms := make([]time.Duration, 0, len(rep.Tenants))
 	for _, tr := range rep.Tenants {
 		if tr.Err != nil {
@@ -276,8 +276,8 @@ func row(label string, width int, rep *campaign.Report, fed *federation.Federati
 			lost++
 		}
 	}
-	fmt.Printf("%-*s %12v %12v %12v %6d %6d %10d %10.0f %10v %10.0f %5d %8d %3d/%d\n",
-		width, label, rep.Makespan.Round(time.Second),
+	fmt.Printf("%-20s %12v %12v %12v %6d %6d %10d %10.0f %10v %10.0f %5d %8d %3d/%d\n",
+		label, rep.Makespan.Round(time.Second),
 		pct(ms, 50).Round(time.Second), pct(ms, 95).Round(time.Second),
 		rep.Global.Jobs, rep.Global.Failed, rep.Global.Resubmits, wanMB,
 		wanWait.Round(time.Second), evictedMB, lost, restage, used, fed.Size())
