@@ -13,13 +13,15 @@ test:
 vet:
 	$(GO) vet ./...
 
-# Determinism lint: build cmd/moteurvet (maprange, simtime, exporteddoc)
-# and run it over every package through go vet's vettool protocol, so
-# results are cached per package like any other vet check. gofmt rides
-# along: the gate fails if any file needs reformatting.
+# Lint: build cmd/moteurvet and run it over the whole program, this
+# module plus the nested perfbench module: the determinism checks
+# (maprange, simtime), the doc check (exporteddoc) and the reachability
+# check (unreachable: no internal/ declaration that no main reaches,
+# unless //moteur:keep gives a reason). gofmt rides along: the gate
+# fails if any file needs reformatting.
 lint:
 	$(GO) build -o bin/moteurvet ./cmd/moteurvet
-	$(GO) vet -vettool=$(abspath bin/moteurvet) ./...
+	bin/moteurvet
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
 		echo "gofmt: the following files need reformatting:"; echo "$$out"; exit 1; \
 	fi
@@ -127,7 +129,7 @@ help:
 	@echo "  build            go build ./..."
 	@echo "  test             go test ./...   (tier-1 verify)"
 	@echo "  vet              go vet ./..."
-	@echo "  lint             determinism lint (cmd/moteurvet as vettool) + gofmt -l"
+	@echo "  lint             moteurvet (determinism, docs, reachability) + gofmt -l"
 	@echo "  scenarios        run the scenarios/*.json library, one results row each"
 	@echo "  daemon-smoke     boot moteurd, submit over HTTP, scrape /metrics, snapshot"
 	@echo "  perfbench        every perfbench workload for 1s; fails on a pin or audit"

@@ -71,7 +71,7 @@ func BenchmarkFederationMetropolis(b *testing.B) {
 						Runtime: time.Duration(1+id%8) * time.Minute,
 					}
 					fed.Submit(spec, func(r *grid.JobRecord) {
-						makespans[id] = int64(r.Makespan())
+						makespans[id] = int64(r.Completed - r.Submitted)
 					})
 				}
 			})

@@ -1,25 +1,28 @@
-// Command moteurvet runs the repo's determinism-lint suite: maprange
-// (no ranging over maps in simulation-critical packages), simtime (no
-// wall-clock time or math/rand there either), and exporteddoc (the
-// exported surface of the root and internal/ packages is documented).
+// Command moteurvet runs the repo's lint suite over the whole program:
+// the repro module plus its nested perfbench module. The
+// per-package checks are maprange (no ranging over maps in
+// simulation-critical packages), simtime (no wall-clock time or
+// math/rand there either) and exporteddoc (the exported surface of the
+// root and internal/ packages is documented). The whole-program check,
+// unreachable, reports every internal/ declaration that no main package
+// under cmd/, examples/ or perfbench/ reaches, unless its doc comment
+// carries //moteur:keep with a reason.
 //
-// It is both a standalone checker and a go vet tool:
+// It takes no arguments and, run anywhere inside either module, always
+// loads both in full, because a partial load would report declarations
+// as unreachable whose users it did not load:
 //
-//	moteurvet ./...                        # standalone, loads via go list
-//	go vet -vettool=$(pwd)/bin/moteurvet ./...   # build-integrated, cached
+//	go build -o bin/moteurvet ./cmd/moteurvet && bin/moteurvet
 //
-// In vettool mode it speaks cmd/go's vet protocol: -V=full identifies
-// the binary for build caching (the version string embeds a hash of the
-// executable, so rebuilding the tool invalidates stale vet results),
-// -flags describes the tool's flags (none), and a trailing *.cfg
-// argument names a compilation-unit config to check.
+// It exits 2 when there are findings and 1 when it cannot run: given
+// arguments, outside the module, or on a failed load.
 package main
 
 import (
-	"crypto/sha256"
 	"fmt"
-	"io"
 	"os"
+	"os/exec"
+	"path/filepath"
 	"strings"
 
 	"repro/internal/analysis"
@@ -27,10 +30,9 @@ import (
 	"repro/internal/analysis/golist"
 	"repro/internal/analysis/maprange"
 	"repro/internal/analysis/simtime"
-	"repro/internal/analysis/unitchecker"
 )
 
-// suite is the full determinism-lint suite, in diagnostic-prefix order.
+// suite is the per-package lint suite, in diagnostic-prefix order.
 var suite = []*analysis.Analyzer{
 	exporteddoc.Analyzer,
 	maprange.Analyzer,
@@ -38,21 +40,18 @@ var suite = []*analysis.Analyzer{
 }
 
 func main() {
-	args := os.Args[1:]
-	switch {
-	case len(args) == 1 && args[0] == "-V=full":
-		fmt.Printf("moteurvet version %s\n", selfID())
-		return
-	case len(args) == 1 && args[0] == "-flags":
-		fmt.Println("[]")
-		return
-	case len(args) == 1 && strings.HasSuffix(args[0], ".cfg"):
-		os.Exit(unitchecker.Run(args[0], suite))
+	if len(os.Args) > 1 {
+		fmt.Fprintln(os.Stderr, "usage: moteurvet (no arguments; it lints the whole module)")
+		os.Exit(1)
 	}
-	if len(args) == 0 {
-		args = []string{"./..."}
+	// The repro module's root, from inside it or inside perfbench.
+	dir, err := exec.Command("go", "list", "-m", "-f", "{{.Dir}}", "repro").Output()
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "moteurvet: run it inside the repro module")
+		os.Exit(1)
 	}
-	findings, err := golist.Check(args, suite)
+	root := strings.TrimSpace(string(dir))
+	findings, err := golist.Check([]string{root, filepath.Join(root, "perfbench")}, suite)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "moteurvet: %v\n", err)
 		os.Exit(1)
@@ -64,24 +63,4 @@ func main() {
 		fmt.Fprintf(os.Stderr, "moteurvet: %d finding(s)\n", len(findings))
 		os.Exit(2)
 	}
-}
-
-// selfID returns a content hash of the running executable, so cmd/go's
-// vet result cache is keyed to the exact tool build; it must not be the
-// literal "devel", which cmd/go treats specially.
-func selfID() string {
-	exe, err := os.Executable()
-	if err != nil {
-		return "v0-unknown"
-	}
-	f, err := os.Open(exe)
-	if err != nil {
-		return "v0-unknown"
-	}
-	defer f.Close()
-	h := sha256.New()
-	if _, err := io.Copy(h, f); err != nil {
-		return "v0-unknown"
-	}
-	return fmt.Sprintf("v0-%x", h.Sum(nil)[:8])
 }

@@ -1,25 +1,24 @@
-// Package analysistest is a small fixture harness for the determinism-
-// lint analyzers, modeled on golang.org/x/tools/go/analysis/analysistest
-// but built on the standard library alone. A fixture is an ordinary Go
-// package under testdata/src/<path>; expected findings are declared in
-// the fixture source with trailing comments of the form
+// Package analysistest is a small fixture harness for the lint suite,
+// modeled on golang.org/x/tools/go/analysis/analysistest but built on
+// the standard library alone. A fixture is a Go module under
+// testdata/src/<name>; expected findings are declared in the fixture
+// source with trailing comments of the form
 //
 //	for k := range m { // want `range over map`
 //
 // where the backquoted text is a regular expression matched against the
-// diagnostics reported on that line. Multiple `// want` clauses may be
-// separated by whitespace inside one comment. The harness type-checks
-// the fixture with the source importer (GOROOT source, so the standard
-// library resolves offline), runs the analyzer, and fails the test on
-// any unexpected or missing finding.
+// findings reported on that line. Multiple `// want` clauses may be
+// separated by whitespace inside one comment. The harness loads the
+// fixture with golist.Check, the loader cmd/moteurvet runs, so every
+// fixture also goes through the whole-program unreachable check, and
+// fails the test on any unexpected or missing finding.
 package analysistest
 
 import (
 	"go/ast"
-	"go/importer"
 	"go/parser"
 	"go/token"
-	"os"
+	"io/fs"
 	"path/filepath"
 	"regexp"
 	"sort"
@@ -27,7 +26,7 @@ import (
 	"testing"
 
 	"repro/internal/analysis"
-	"repro/internal/analysis/checker"
+	"repro/internal/analysis/golist"
 )
 
 // wantRE extracts the backquoted patterns of a // want comment.
@@ -41,55 +40,41 @@ type expectation struct {
 	hit  bool
 }
 
-// Run loads the fixture package rooted at dir/src/<pkgpath> for each
-// pkgpath, runs a over it, and checks reported findings against the
-// fixture's // want comments. The fixture's import path is pkgpath
-// itself, so analyzers gated on package paths can be constructed to
-// admit it.
-func Run(t *testing.T, dir string, a *analysis.Analyzer, pkgpaths ...string) {
+// Run loads the fixture module rooted at dir/src/<fixture>, runs
+// analyzers and the unreachable check over it, and checks the findings
+// against the fixture's // want comments. Analyzers gated on package
+// paths can be constructed to admit the fixture's module path.
+//
+//moteur:keep fixture harness of the analyzer tests
+func Run(t *testing.T, dir, fixture string, analyzers ...*analysis.Analyzer) {
 	t.Helper()
-	for _, pkgpath := range pkgpaths {
-		runOne(t, filepath.Join(dir, "src", pkgpath), pkgpath, a)
-	}
-}
-
-// runOne checks one fixture package directory.
-func runOne(t *testing.T, dir, pkgpath string, a *analysis.Analyzer) {
-	t.Helper()
-	fset := token.NewFileSet()
-	entries, err := os.ReadDir(dir)
+	root, err := filepath.Abs(filepath.Join(dir, "src", fixture))
 	if err != nil {
-		t.Fatalf("%s: %v", dir, err)
+		t.Fatal(err)
 	}
-	var files []*ast.File
+	findings, err := golist.Check([]string{root}, analyzers)
+	if err != nil {
+		t.Fatalf("%s: %v", fixture, err)
+	}
+	fset := token.NewFileSet()
 	var wants []*expectation
-	for _, e := range entries {
-		if e.IsDir() || !strings.HasSuffix(e.Name(), ".go") {
-			continue
+	err = filepath.WalkDir(root, func(path string, _ fs.DirEntry, err error) error {
+		if err != nil || !strings.HasSuffix(path, ".go") {
+			return err
 		}
-		path := filepath.Join(dir, e.Name())
 		f, err := parser.ParseFile(fset, path, nil, parser.ParseComments)
 		if err != nil {
-			t.Fatalf("parse %s: %v", path, err)
+			return err
 		}
-		files = append(files, f)
 		wants = append(wants, parseWants(t, fset, f)...)
-	}
-	if len(files) == 0 {
-		t.Fatalf("fixture %s has no Go files", dir)
-	}
-	imp := importer.ForCompiler(fset, "source", nil)
-	pkg, info, err := checker.TypeCheck(fset, files, pkgpath, imp, "")
+		return nil
+	})
 	if err != nil {
-		t.Fatalf("typecheck %s: %v", pkgpath, err)
-	}
-	findings, err := checker.Run(fset, files, pkg, info, []*analysis.Analyzer{a})
-	if err != nil {
-		t.Fatalf("run %s on %s: %v", a.Name, pkgpath, err)
+		t.Fatalf("%s: %v", fixture, err)
 	}
 	for _, f := range findings {
 		if !claim(wants, f) {
-			t.Errorf("%s: unexpected finding: %s", pkgpath, f)
+			t.Errorf("%s: unexpected finding: %s", fixture, f)
 		}
 	}
 	sort.Slice(wants, func(i, j int) bool {
@@ -100,7 +85,7 @@ func runOne(t *testing.T, dir, pkgpath string, a *analysis.Analyzer) {
 	})
 	for _, w := range wants {
 		if !w.hit {
-			t.Errorf("%s: %s:%d: expected finding matching %q, got none", pkgpath, w.file, w.line, w.re)
+			t.Errorf("%s: %s:%d: expected finding matching %q, got none", fixture, w.file, w.line, w.re)
 		}
 	}
 }
@@ -138,7 +123,7 @@ func parseWants(t *testing.T, fset *token.FileSet, f *ast.File) []*expectation {
 
 // claim marks the first unhit expectation matching the finding and
 // reports whether one existed.
-func claim(wants []*expectation, f checker.Finding) bool {
+func claim(wants []*expectation, f analysis.Finding) bool {
 	for _, w := range wants {
 		if !w.hit && w.file == f.Position.Filename && w.line == f.Position.Line && w.re.MatchString(f.Message) {
 			w.hit = true

@@ -18,6 +18,7 @@ package exporteddoc
 import (
 	"go/ast"
 	"go/token"
+	"slices"
 	"sort"
 	"strings"
 
@@ -36,15 +37,12 @@ var Analyzer = New(DefaultChecked)
 // New builds an exporteddoc analyzer with a custom package gate; the
 // fixture tests use this to point the check at testdata packages.
 func New(checked func(pkgPath string) bool) *analysis.Analyzer {
-	a := &analysis.Analyzer{
-		Name: "exporteddoc",
-		Doc:  "require doc comments on the exported surface of the root and internal/ packages (golint exported rule, plus a package-comment rule)",
-	}
+	a := &analysis.Analyzer{Name: "exporteddoc"}
 	a.Run = func(pass *analysis.Pass) error {
-		if !checked(pass.Pkg.Path()) || strings.HasSuffix(pass.Pkg.Name(), "_test") {
+		if !checked(pass.Pkg.Path()) {
 			return nil
 		}
-		files := pass.SourceFiles()
+		files := slices.Clone(pass.Files)
 		sort.Slice(files, func(i, j int) bool {
 			return pass.Fset.Position(files[i].Pos()).Filename < pass.Fset.Position(files[j].Pos()).Filename
 		})

@@ -12,7 +12,8 @@ import (
 // documented fixture, which must stay silent.
 func TestExportedDoc(t *testing.T) {
 	a := New(func(pkgPath string) bool { return true })
-	analysistest.Run(t, "../testdata", a, "docbad", "docok")
+	analysistest.Run(t, "../testdata", "docbad", a)
+	analysistest.Run(t, "../testdata", "docok", a)
 }
 
 // TestDefaultChecked pins the documented-surface gate: the root package

@@ -1,11 +1,13 @@
-// Package golist implements cmd/moteurvet's standalone mode: it loads
-// packages matching command-line patterns by shelling out to
-// `go list -export -deps -json`, which compiles dependencies' export
-// data into the build cache, then type-checks each matched package from
-// source (dependencies resolve through the export data, exactly like the
-// vettool path) and runs the determinism analyzers over it. This gives a
-// one-command repo check that needs no go vet orchestration and no
-// network access.
+// Package golist is cmd/moteurvet's loader. It lists every package of
+// one or more module trees with `go list -export -deps -json ./...`,
+// which also compiles the standard library's export data into the build
+// cache, then type-checks every module package from source in
+// dependency order. All packages share one FileSet and one set of type
+// objects, so a declaration in one package is the same types.Object
+// wherever another package uses it. That makes the load a whole
+// program: the per-package analyzers run over each module package, and
+// the unreachable check runs over all of them at once. It needs no go
+// vet orchestration and no network access.
 package golist
 
 import (
@@ -16,14 +18,14 @@ import (
 	"go/importer"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"io"
 	"os"
 	"os/exec"
 	"path/filepath"
-	"sort"
 
 	"repro/internal/analysis"
-	"repro/internal/analysis/checker"
+	"repro/internal/analysis/unreachable"
 )
 
 // listPackage is the subset of `go list -json` output the loader needs.
@@ -37,64 +39,104 @@ type listPackage struct {
 	GoFiles []string
 	// Export is the file holding the package's gc export data.
 	Export string
-	// ImportMap maps source-level import paths to canonical paths.
-	ImportMap map[string]string
-	// DepOnly marks packages that only appeared as dependencies, not
-	// as pattern matches; they supply export data but are not checked.
-	DepOnly bool
+	// Standard marks standard-library packages, which are imported
+	// from export data and never checked.
+	Standard bool
 }
 
-// Check loads the packages matching patterns and runs analyzers over
-// each matched (non-dependency) package, returning all findings sorted
-// by package.
-func Check(patterns []string, analyzers []*analysis.Analyzer) ([]checker.Finding, error) {
-	args := append([]string{
-		"list", "-export", "-deps",
-		"-json=ImportPath,Dir,GoFiles,Export,ImportMap,DepOnly",
-	}, patterns...)
-	cmd := exec.Command("go", args...)
+// Check loads every package of the module rooted at each of dirs and
+// runs analyzers over each module package, then runs the unreachable
+// check over the whole load. Findings come back sorted by position.
+func Check(dirs []string, analyzers []*analysis.Analyzer) ([]analysis.Finding, error) {
+	fset := token.NewFileSet()
+	exports := map[string]string{}
+	imp := importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
+		file, ok := exports[path]
+		if !ok {
+			return nil, fmt.Errorf("no export data for %q", path)
+		}
+		return os.Open(file)
+	})
+	loaded := map[string]*analysis.Package{}
+	source := importerFunc(func(path string) (*types.Package, error) {
+		if p, ok := loaded[path]; ok {
+			return p.Types, nil
+		}
+		return imp.Import(path)
+	})
+	var pkgs []*analysis.Package
+	for _, dir := range dirs {
+		listed, err := list(dir)
+		if err != nil {
+			return nil, err
+		}
+		for _, p := range listed {
+			if p.Export != "" {
+				exports[p.ImportPath] = p.Export
+			}
+		}
+		// go list -deps prints every package after its dependencies,
+		// so each import resolves to a package already checked.
+		for _, p := range listed {
+			if p.Standard || len(p.GoFiles) == 0 || loaded[p.ImportPath] != nil {
+				continue
+			}
+			pkg, err := load(fset, p, source)
+			if err != nil {
+				return nil, fmt.Errorf("%s: %v", p.ImportPath, err)
+			}
+			loaded[p.ImportPath] = pkg
+			pkgs = append(pkgs, pkg)
+		}
+	}
+	var all []analysis.Finding
+	for _, p := range pkgs {
+		for _, a := range analyzers {
+			pass := &analysis.Pass{Fset: fset, Files: p.Files, Pkg: p.Types, TypesInfo: p.Info}
+			pass.Report = func(d analysis.Diagnostic) {
+				all = append(all, analysis.Finding{Analyzer: a.Name, Position: fset.Position(d.Pos), Message: d.Message})
+			}
+			if err := a.Run(pass); err != nil {
+				return nil, fmt.Errorf("analyzer %s on %s: %w", a.Name, p.Types.Path(), err)
+			}
+		}
+	}
+	all = append(all, unreachable.Check(fset, pkgs)...)
+	analysis.SortFindings(all)
+	return all, nil
+}
+
+// importerFunc adapts a function to types.Importer.
+type importerFunc func(path string) (*types.Package, error)
+
+// Import implements types.Importer.
+func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
+
+// list runs go list over every package of the module rooted at dir.
+func list(dir string) ([]*listPackage, error) {
+	cmd := exec.Command("go", "list", "-C", dir, "-export", "-deps",
+		"-json=ImportPath,Dir,GoFiles,Export,Standard", "./...")
 	var stdout, stderr bytes.Buffer
 	cmd.Stdout = &stdout
 	cmd.Stderr = &stderr
 	if err := cmd.Run(); err != nil {
-		return nil, fmt.Errorf("go list: %v\n%s", err, stderr.String())
+		return nil, fmt.Errorf("go list in %s: %v\n%s", dir, err, stderr.String())
 	}
-	exports := map[string]string{}
-	importMap := map[string]string{}
-	var targets []*listPackage
+	var out []*listPackage
 	dec := json.NewDecoder(&stdout)
 	for {
 		p := new(listPackage)
 		if err := dec.Decode(p); err == io.EOF {
-			break
+			return out, nil
 		} else if err != nil {
-			return nil, fmt.Errorf("go list output: %v", err)
+			return nil, fmt.Errorf("go list output in %s: %v", dir, err)
 		}
-		if p.Export != "" {
-			exports[p.ImportPath] = p.Export
-		}
-		for raw, mapped := range p.ImportMap {
-			importMap[raw] = mapped
-		}
-		if !p.DepOnly && len(p.GoFiles) > 0 {
-			targets = append(targets, p)
-		}
+		out = append(out, p)
 	}
-	sort.Slice(targets, func(i, j int) bool { return targets[i].ImportPath < targets[j].ImportPath })
-	var all []checker.Finding
-	for _, p := range targets {
-		findings, err := checkPackage(p, exports, importMap, analyzers)
-		if err != nil {
-			return nil, fmt.Errorf("%s: %v", p.ImportPath, err)
-		}
-		all = append(all, findings...)
-	}
-	return all, nil
 }
 
-// checkPackage parses, type-checks and analyzes one listed package.
-func checkPackage(p *listPackage, exports, importMap map[string]string, analyzers []*analysis.Analyzer) ([]checker.Finding, error) {
-	fset := token.NewFileSet()
+// load parses and type-checks one listed package from source.
+func load(fset *token.FileSet, p *listPackage, imp types.Importer) (*analysis.Package, error) {
 	var files []*ast.File
 	for _, name := range p.GoFiles {
 		f, err := parser.ParseFile(fset, filepath.Join(p.Dir, name), nil, parser.ParseComments)
@@ -103,19 +145,18 @@ func checkPackage(p *listPackage, exports, importMap map[string]string, analyzer
 		}
 		files = append(files, f)
 	}
-	imp := importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
-		if mapped, ok := importMap[path]; ok {
-			path = mapped
-		}
-		file, ok := exports[path]
-		if !ok {
-			return nil, fmt.Errorf("no export data for %q", path)
-		}
-		return os.Open(file)
-	})
-	pkg, info, err := checker.TypeCheck(fset, files, p.ImportPath, imp, "")
+	info := &types.Info{
+		Types:      map[ast.Expr]types.TypeAndValue{},
+		Defs:       map[*ast.Ident]types.Object{},
+		Uses:       map[*ast.Ident]types.Object{},
+		Implicits:  map[ast.Node]types.Object{},
+		Selections: map[*ast.SelectorExpr]*types.Selection{},
+		Scopes:     map[ast.Node]*types.Scope{},
+		Instances:  map[*ast.Ident]types.Instance{},
+	}
+	pkg, err := (&types.Config{Importer: imp}).Check(p.ImportPath, fset, files, info)
 	if err != nil {
 		return nil, err
 	}
-	return checker.Run(fset, files, pkg, info, analyzers)
+	return &analysis.Package{Files: files, Types: pkg, Info: info}, nil
 }

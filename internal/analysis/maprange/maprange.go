@@ -54,15 +54,12 @@ var Analyzer = New(DefaultCritical)
 // New builds a maprange analyzer with a custom package gate; the
 // fixture tests use this to point the check at testdata packages.
 func New(critical func(pkgPath string) bool) *analysis.Analyzer {
-	a := &analysis.Analyzer{
-		Name: "maprange",
-		Doc:  "forbid range over maps in simulation-critical packages (order leaks break deterministic replay); annotate provably order-invariant loops with //moteur:orderinvariant <reason>",
-	}
+	a := &analysis.Analyzer{Name: "maprange"}
 	a.Run = func(pass *analysis.Pass) error {
 		if !critical(pass.Pkg.Path()) {
 			return nil
 		}
-		for _, file := range pass.SourceFiles() {
+		for _, file := range pass.Files {
 			checkFile(pass, file)
 		}
 		return nil

@@ -12,7 +12,8 @@ import (
 // non-critical fixture, which must stay silent.
 func TestMapRange(t *testing.T) {
 	a := New(func(pkgPath string) bool { return pkgPath == "mapcrit" })
-	analysistest.Run(t, "../testdata", a, "mapcrit", "mapclean")
+	analysistest.Run(t, "../testdata", "mapcrit", a)
+	analysistest.Run(t, "../testdata", "mapclean", a)
 }
 
 // TestDefaultCritical pins the gated package set.

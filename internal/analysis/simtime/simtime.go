@@ -49,10 +49,7 @@ var Analyzer = New(nil)
 // New builds a simtime analyzer with a custom package gate (nil means
 // the default simulation-critical set shared with maprange).
 func New(critical func(pkgPath string) bool) *analysis.Analyzer {
-	a := &analysis.Analyzer{
-		Name: "simtime",
-		Doc:  "forbid wall-clock time, math/rand and order-leaking fmt output in simulation-critical packages; use sim.Engine time and internal/rng streams",
-	}
+	a := &analysis.Analyzer{Name: "simtime"}
 	a.Run = func(pass *analysis.Pass) error {
 		gate := critical
 		if gate == nil {
@@ -61,7 +58,7 @@ func New(critical func(pkgPath string) bool) *analysis.Analyzer {
 		if !gate(pass.Pkg.Path()) {
 			return nil
 		}
-		for _, file := range pass.SourceFiles() {
+		for _, file := range pass.Files {
 			checkFile(pass, file)
 		}
 		return nil

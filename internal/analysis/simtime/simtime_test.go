@@ -12,5 +12,6 @@ import (
 // must stay silent.
 func TestSimTime(t *testing.T) {
 	a := New(func(pkgPath string) bool { return pkgPath == "timecrit" })
-	analysistest.Run(t, "../testdata", a, "timecrit", "timeclean")
+	analysistest.Run(t, "../testdata", "timecrit", a)
+	analysistest.Run(t, "../testdata", "timeclean", a)
 }

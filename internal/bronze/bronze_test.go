@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/grid"
 )
 
 // smallParams shrinks the experiment for unit tests.
@@ -315,7 +316,10 @@ func TestWorkflowUsesDescriptors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	jobs := res.Trace.Jobs()
+	var jobs []*grid.JobRecord
+	for _, inv := range res.Trace.Invocations {
+		jobs = append(jobs, inv.Jobs...)
+	}
 	var found bool
 	for _, j := range jobs {
 		if strings.HasPrefix(j.Spec.Command, "CrestLines.pl ") {

@@ -31,6 +31,8 @@ func Configurations() []Configuration {
 
 // PaperSizes are the input set sizes of the paper's experiment: 12, 66 and
 // 126 image pairs (1, 7 and 25 patients).
+//
+//moteur:keep the paper's Table 1 input sizes, swept by the paper benchmarks
 var PaperSizes = []int{12, 66, 126}
 
 // PaperTable1 is the paper's Table 1 (execution times in seconds) for
@@ -220,6 +222,8 @@ func FormatTable2(rows []RegressionRow) string {
 
 // Figure10 produces the execution-time series (per configuration) over
 // arbitrary sizes, for plotting time-versus-size curves.
+//
+//moteur:keep the paper's Figure 10 series, produced by the paper benchmarks and tests
 func Figure10(sizes []int, p Params) ([]Row, error) {
 	return Table1(sizes, p)
 }

@@ -90,6 +90,8 @@ type Site interface {
 }
 
 // OnGrid adapts one shared grid into a campaign Site.
+//
+//moteur:keep test fixture: runs a campaign on one grid without a federation
 func OnGrid(g *grid.Grid) Site { return gridSite{g} }
 
 type gridSite struct{ g *grid.Grid }

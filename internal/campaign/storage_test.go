@@ -49,7 +49,7 @@ func TestCampaignSurvivesSEOutage(t *testing.T) {
 	if f.Repairs() == 0 {
 		t.Error("the k=2 floor commissioned no repair copies")
 	}
-	if f.Down(1) {
+	if f.Grid(1).Down() {
 		t.Error("a storage-only outage took g1's compute dimension down")
 	}
 	if dark.Makespan > 2*clean.Makespan {

@@ -20,6 +20,8 @@ import (
 // workload for campaign scenarios: heterogeneous tenant mixes differ only
 // in their Options, so contention effects are attributable to scheduling,
 // not to workload shape.
+//
+//moteur:keep test fixture: the constant-size chain workload of the campaign tests and benchmarks
 func SyntheticChain(n, items int, runtime time.Duration, fileMB float64) BuildFunc {
 	return SyntheticChainPlaced(n, items, runtime, fileMB, grid.Site{}, 0)
 }

@@ -235,7 +235,7 @@ func TestWorkflowAccessorAfterGrouping(t *testing.T) {
 
 func TestTraceJobCountWithRetries(t *testing.T) {
 	eng := sim.NewEngine()
-	cfg := quietGrid(eng, 8).Config() // get quiet overheads
+	cfg := quietConfig(8)
 	cfg.Failures.Probability = 0.5
 	cfg.Failures.DetectDelay = time.Second
 	cfg.Failures.MaxRetries = 20

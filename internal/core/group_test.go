@@ -17,13 +17,18 @@ import (
 
 // quietGrid is a deterministic grid with fixed overheads.
 func quietGrid(eng *sim.Engine, nodes int) *grid.Grid {
+	return grid.New(eng, quietConfig(nodes))
+}
+
+// quietConfig is quietGrid's configuration.
+func quietConfig(nodes int) grid.Config {
 	cfg := grid.IdealConfig(nodes)
 	cfg.Overheads = grid.OverheadConfig{
 		SubmitMean:   2 * time.Second,
 		BrokerMean:   3 * time.Second,
 		DispatchMean: 5 * time.Second,
 	}
-	return grid.New(eng, cfg)
+	return cfg
 }
 
 // wrapperFor builds a single-input single-output wrapper named name.
@@ -397,7 +402,10 @@ func TestAutoGroupPreservesConstants(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	jobs := res.Trace.Jobs()
+	var jobs []*grid.JobRecord
+	for _, inv := range res.Trace.Invocations {
+		jobs = append(jobs, inv.Jobs...)
+	}
 	if len(jobs) != 1 {
 		t.Fatalf("jobs = %d", len(jobs))
 	}

@@ -77,15 +77,6 @@ func (t *Trace) JobCount() int {
 	return n
 }
 
-// Jobs returns all grid job records behind the trace.
-func (t *Trace) Jobs() []*grid.JobRecord {
-	var out []*grid.JobRecord
-	for _, inv := range t.Invocations {
-		out = append(out, inv.Jobs...)
-	}
-	return out
-}
-
 // Result is the outcome of one workflow execution.
 type Result struct {
 	// Makespan is the total execution time Σ of the workflow.

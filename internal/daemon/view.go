@@ -64,8 +64,6 @@ type SEView struct {
 	Evictions uint64 `json:"evictions"`
 	// EvictedMB totals the bytes evictions freed.
 	EvictedMB float64 `json:"evictedMB"`
-	// Down reports the element currently dark.
-	Down bool `json:"down"`
 }
 
 // StatusView is federation.Status rendered for JSON consumers (the
@@ -135,7 +133,6 @@ func newStatusView(st federation.Status) StatusView {
 			Files:      se.Files,
 			Evictions:  se.Evictions,
 			EvictedMB:  se.EvictedMB,
-			Down:       se.Down,
 		}
 	}
 	return v

@@ -7,7 +7,6 @@ package dataset
 import (
 	"encoding/xml"
 	"fmt"
-	"sort"
 )
 
 // Item is one data value of an input set.
@@ -41,6 +40,8 @@ func Parse(data []byte) (*Set, error) {
 }
 
 // Marshal encodes the set as indented XML.
+//
+//moteur:keep round-trip oracle: the dataset tests re-parse what it writes
 func (s *Set) Marshal() ([]byte, error) {
 	out, err := xml.MarshalIndent(s, "", "  ")
 	if err != nil {
@@ -85,32 +86,4 @@ func (s *Set) Map() map[string][]string {
 		m[in.Name] = s.Values(in.Name)
 	}
 	return m
-}
-
-// InputNames returns the input names in document order.
-func (s *Set) InputNames() []string {
-	names := make([]string, len(s.Inputs))
-	for i, in := range s.Inputs {
-		names[i] = in.Name
-	}
-	return names
-}
-
-// FromMap builds a Set from a name-to-values map, with inputs ordered by
-// name for reproducible output.
-func FromMap(name string, inputs map[string][]string) *Set {
-	s := &Set{Name: name}
-	keys := make([]string, 0, len(inputs))
-	for k := range inputs {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		in := Input{Name: k}
-		for _, v := range inputs[k] {
-			in.Items = append(in.Items, Item{Value: v})
-		}
-		s.Inputs = append(s.Inputs, in)
-	}
-	return s
 }

@@ -32,9 +32,8 @@ func TestParse(t *testing.T) {
 	if got := s.Values("absent"); got != nil {
 		t.Errorf("Values(absent) = %v, want nil", got)
 	}
-	names := s.InputNames()
-	if len(names) != 2 || names[0] != "referenceImage" || names[1] != "floatingImage" {
-		t.Errorf("InputNames = %v", names)
+	if len(s.Inputs) != 2 || s.Inputs[0].Name != "referenceImage" || s.Inputs[1].Name != "floatingImage" {
+		t.Errorf("Inputs = %+v", s.Inputs)
 	}
 }
 
@@ -97,17 +96,6 @@ func TestEmptyInputAllowed(t *testing.T) {
 	}
 }
 
-func TestFromMapOrdering(t *testing.T) {
-	s := FromMap("x", map[string][]string{
-		"zeta":  {"z1"},
-		"alpha": {"a1", "a2"},
-	})
-	names := s.InputNames()
-	if len(names) != 2 || names[0] != "alpha" || names[1] != "zeta" {
-		t.Fatalf("FromMap inputs not name-ordered: %v", names)
-	}
-}
-
 // xmlSafe reports whether every rune of v is a legal XML 1.0 character;
 // the data-set format inherits XML's character repertoire.
 func xmlSafe(v string) bool {
@@ -124,7 +112,7 @@ func xmlSafe(v string) bool {
 	return true
 }
 
-// Property: FromMap → Marshal → Parse → Map is the identity on contents.
+// Property: Marshal → Parse → Map is the identity on contents.
 func TestQuickRoundTripIdentity(t *testing.T) {
 	f := func(vals []string) bool {
 		// Keep only values the format can legally carry.
@@ -134,8 +122,10 @@ func TestQuickRoundTripIdentity(t *testing.T) {
 				clean = append(clean, v)
 			}
 		}
-		in := map[string][]string{"a": clean, "b": {"fixed"}}
-		s := FromMap("t", in)
+		s := &Set{Name: "t", Inputs: []Input{{Name: "a"}, {Name: "b", Items: []Item{{Value: "fixed"}}}}}
+		for _, v := range clean {
+			s.Inputs[0].Items = append(s.Inputs[0].Items, Item{Value: v})
+		}
 		data, err := s.Marshal()
 		if err != nil {
 			return false

@@ -105,6 +105,8 @@ func Parse(data []byte) (*Description, error) {
 }
 
 // Marshal encodes the descriptor as indented XML.
+//
+//moteur:keep round-trip oracle: the descriptor tests re-parse what it writes
 func (d *Description) Marshal() ([]byte, error) {
 	out, err := xml.MarshalIndent(d, "", "  ")
 	if err != nil {

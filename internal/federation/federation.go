@@ -396,6 +396,8 @@ func New(eng *sim.Engine, cfg Config) (*Federation, error) {
 // its random streams at seed+i, and generates background load for four
 // virtual days (enough to cover campaign spans while keeping the event
 // count bounded).
+//
+//moteur:keep root benchmark worlds; retired by ROADMAP open item 1
 func HeterogeneousSpecs(n int, seed uint64) []GridSpec {
 	specs := make([]GridSpec, n)
 	for i := 0; i < n; i++ {
@@ -419,9 +421,6 @@ func (f *Federation) Engine() *sim.Engine { return f.eng }
 // Catalog returns the replica catalog shared by every member grid.
 // Together with Submit it makes *Federation satisfy services.Submitter.
 func (f *Federation) Catalog() *grid.Catalog { return f.catalog }
-
-// Policy returns the broker policy in use.
-func (f *Federation) Policy() Policy { return f.policy }
 
 // Size returns the number of member grids.
 func (f *Federation) Size() int { return len(f.grids) }
@@ -465,9 +464,6 @@ func (f *Federation) SetUp(i int) {
 	t.FetchObserved, t.XferStretch = 0, 0
 }
 
-// Down reports whether member grid i is currently dark.
-func (f *Federation) Down(i int) bool { return f.grids[i].Down() }
-
 // SetStorageDown takes member grid i's storage dimension dark — an
 // SE-only outage: the grid keeps computing and accepting brokered work,
 // but its replicas are unreachable (consumers elsewhere re-stage from
@@ -482,10 +478,6 @@ func (f *Federation) SetStorageDown(i int) { f.grids[i].SetStorageDown(true) }
 // never went dark, so its overhead characterization stayed valid.
 // Idempotent.
 func (f *Federation) SetStorageUp(i int) { f.grids[i].SetStorageDown(false) }
-
-// StorageDown reports whether member grid i's storage dimension is dark
-// (true during both SE-only and full outages).
-func (f *Federation) StorageDown(i int) bool { return f.grids[i].StorageDown() }
 
 // Repairs returns the number of replica-repair copies that landed (see
 // Config.MinReplicas).
@@ -688,9 +680,6 @@ func (f *Federation) Tenant(name string) *Tenant {
 
 // Name returns the tenant's name.
 func (t *Tenant) Name() string { return t.name }
-
-// Federation returns the underlying federation.
-func (t *Tenant) Federation() *Federation { return t.f }
 
 // Catalog returns the federation's shared replica catalog. Together with
 // Submit it makes *Tenant satisfy services.Submitter.

@@ -231,11 +231,11 @@ func TestRecoveryAgesTelemetry(t *testing.T) {
 	}
 
 	f.SetDown(1)
-	if !f.Down(1) {
+	if !f.Grid(1).Down() {
 		t.Fatal("SetDown did not mark the grid dark")
 	}
 	f.SetUp(1)
-	if f.Down(1) {
+	if f.Grid(1).Down() {
 		t.Fatal("SetUp did not recover the grid")
 	}
 	after := f.Telemetry(1)
@@ -315,8 +315,8 @@ func TestTouchingOutageWindowsAnyOrder(t *testing.T) {
 			down bool
 		}{{5 * time.Minute, false}, {15 * time.Minute, true}, {25 * time.Minute, true}, {35 * time.Minute, false}} {
 			eng.RunUntil(sim.Time(probe.at))
-			if f.Down(0) != probe.down {
-				t.Errorf("reversed=%v: Down at %v = %v, want %v", reversed, probe.at, f.Down(0), probe.down)
+			if f.Grid(0).Down() != probe.down {
+				t.Errorf("reversed=%v: Down at %v = %v, want %v", reversed, probe.at, f.Grid(0).Down(), probe.down)
 			}
 		}
 	}

@@ -154,7 +154,7 @@ func TestComputeDarkGridFailsFetches(t *testing.T) {
 	}
 	f.Catalog().RegisterAt("gfn://f", 60, grid.Site{Grid: "g1"})
 	f.SetDown(1)
-	if !f.StorageDown(1) {
+	if !f.Grid(1).StorageDown() {
 		t.Fatal("a fully dark grid does not report its storage dark")
 	}
 	var final *grid.JobRecord
@@ -403,10 +403,10 @@ func TestStorageOutageWindowRecovers(t *testing.T) {
 		dark bool
 	}{{5 * time.Minute, false}, {15 * time.Minute, true}, {25 * time.Minute, false}} {
 		eng.RunUntil(sim.Time(probe.at))
-		if f.StorageDown(1) != probe.dark {
-			t.Errorf("StorageDown at %v = %v, want %v", probe.at, f.StorageDown(1), probe.dark)
+		if f.Grid(1).StorageDown() != probe.dark {
+			t.Errorf("StorageDown at %v = %v, want %v", probe.at, f.Grid(1).StorageDown(), probe.dark)
 		}
-		if f.Down(1) {
+		if f.Grid(1).Down() {
 			t.Errorf("storage-only outage took the compute dimension dark at %v", probe.at)
 		}
 	}

@@ -46,7 +46,7 @@ type Catalog struct {
 	fabric *Fabric
 
 	// Active storage state (see storage.go): per-site storage elements,
-	// grid- and element-level darkness, the k-replication floor and its
+	// grid-level darkness, the k-replication floor and its
 	// repair hook, and the engine clock for access-recency accounting.
 	// All of it is inert until a storage element is configured or a grid
 	// goes dark, which is what keeps the location-blind paths (and their
@@ -54,7 +54,6 @@ type Catalog struct {
 	storage   map[string]*seState
 	gridDark  map[string]bool
 	darkGrids int
-	darkSEs   int
 	floor     int
 	repair    func(name string)
 	now       func() sim.Time
@@ -181,43 +180,10 @@ func (c *Catalog) dropReplica(name string, site Site) bool {
 	return true
 }
 
-// RemoveReplica deletes the file's replica at the given site, reporting
-// false (and changing nothing) when the name or the replica is unknown.
-// The sorted-by-site invariant of the remaining set is preserved. The
-// copy leaves its site's storage element, and dropping the set below the
-// replication floor fires the repair hook. Removing the last replica
-// keeps the name registered with an empty set: the file is known but has
-// no fetchable copy, so stage plans report it unavailable (the replica-
-// lost path) rather than missing (the unregistered-name path).
-func (c *Catalog) RemoveReplica(name string, site Site) bool {
-	if !c.dropReplica(name, site) {
-		return false
-	}
-	c.removeResident(name, site)
-	c.checkFloor(name, c.files[name])
-	return true
-}
-
-// Unregister deletes the file and its whole replica set from the catalog,
-// reporting false when the name is unknown. Every copy leaves its site's
-// storage element; the repair hook does not fire (deliberate deletion is
-// not a loss to repair).
-func (c *Catalog) Unregister(name string) bool {
-	e, ok := c.files[name]
-	if !ok {
-		return false
-	}
-	if len(c.storage) > 0 {
-		for _, r := range e.reps {
-			c.removeResident(name, r.Site)
-		}
-	}
-	delete(c.files, name)
-	return true
-}
-
 // Replicas returns a copy of the file's replica set in deterministic site
 // order (nil for an unregistered name).
+//
+//moteur:keep test observer of replica placement, eviction and repair
 func (c *Catalog) Replicas(name string) []Replica {
 	e, ok := c.files[name]
 	if !ok {

@@ -14,14 +14,12 @@ import (
 // fetches over the same pair queue FIFO and stretch each other — the
 // congestion-collapse mechanism the pure-delay model of PR 4 could not
 // express. Channels are created lazily on first use with the fabric's
-// default stream count (or a per-pair override), and everything runs on
-// the single-threaded engine, so grant order is schedule order and runs
-// stay bit-deterministic.
+// stream count, and everything runs on the single-threaded engine, so
+// grant order is schedule order and runs stay bit-deterministic.
 type Fabric struct {
-	eng       *sim.Engine
-	streams   int
-	overrides map[GridPair]int
-	chans     map[GridPair]*sim.Resource
+	eng     *sim.Engine
+	streams int
+	chans   map[GridPair]*sim.Resource
 }
 
 // NewFabric returns a fabric whose channels default to the given number
@@ -33,10 +31,9 @@ func NewFabric(eng *sim.Engine, streams int) *Fabric {
 		panic("grid: NewFabric with non-positive streams")
 	}
 	return &Fabric{
-		eng:       eng,
-		streams:   streams,
-		overrides: make(map[GridPair]int),
-		chans:     make(map[GridPair]*sim.Resource),
+		eng:     eng,
+		streams: streams,
+		chans:   make(map[GridPair]*sim.Resource),
 	}
 }
 
@@ -46,34 +43,14 @@ func NewFabric(eng *sim.Engine, streams int) *Fabric {
 // would silently stall every contended fetch.
 func (f *Fabric) Engine() *sim.Engine { return f.eng }
 
-// SetPairStreams overrides the channel capacity of one ordered grid pair
-// (asymmetric links are expressible by overriding each direction
-// separately). It must be called before the pair's channel is first used;
-// overriding a live channel would re-create it and lose its queue, so
-// that is rejected with a panic.
-func (f *Fabric) SetPairStreams(from, to string, streams int) {
-	if streams <= 0 {
-		panic("grid: SetPairStreams with non-positive streams")
-	}
-	key := GridPair{From: from, To: to}
-	if _, live := f.chans[key]; live {
-		panic("grid: SetPairStreams on a pair whose channel is already in use")
-	}
-	f.overrides[key] = streams
-}
-
 // Channel returns the shared channel of the ordered (from, to) grid pair,
-// creating it on first use with the pair's configured capacity.
+// creating it on first use with the fabric's stream count.
 func (f *Fabric) Channel(from, to string) *sim.Resource {
 	key := GridPair{From: from, To: to}
 	if ch, ok := f.chans[key]; ok {
 		return ch
 	}
-	streams := f.streams
-	if s, ok := f.overrides[key]; ok {
-		streams = s
-	}
-	ch := sim.NewResource(f.eng, streams)
+	ch := sim.NewResource(f.eng, f.streams)
 	f.chans[key] = ch
 	return ch
 }

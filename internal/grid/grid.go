@@ -301,9 +301,6 @@ func (g *Grid) Catalog() *Catalog { return g.catalog }
 // every replica its jobs register (empty for an unnamed standalone grid).
 func (g *Grid) Name() string { return g.cfg.Name }
 
-// Config returns the configuration the grid was built from.
-func (g *Grid) Config() Config { return g.cfg }
-
 // Records returns the records of all jobs submitted so far, in submission
 // order. Records of in-flight jobs are included and still mutating.
 func (g *Grid) Records() []*JobRecord { return g.records }
@@ -473,6 +470,8 @@ type ClusterStat struct {
 }
 
 // ClusterStats returns per-cluster accounting, in configuration order.
+//
+//moteur:keep test observer of per-cluster accounting
 func (g *Grid) ClusterStats() []ClusterStat {
 	out := make([]ClusterStat, len(g.clusters))
 	for i, c := range g.clusters {

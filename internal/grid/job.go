@@ -171,11 +171,6 @@ func (r *JobRecord) Overhead() time.Duration {
 	return time.Duration(r.InputDone - r.Submitted)
 }
 
-// Makespan returns submission-to-completion time.
-func (r *JobRecord) Makespan() time.Duration {
-	return time.Duration(r.Completed - r.Submitted)
-}
-
 // maxSubmitLoad caps the middleware saturation multiplier: a loaded UI and
 // Resource Broker degrade, but past a point clients time out and back off
 // rather than queueing indefinitely.

@@ -192,15 +192,6 @@ func TestResubmissionTimestampsMonotone(t *testing.T) {
 	}
 }
 
-func TestConfigAccessors(t *testing.T) {
-	cfg := quiet(4)
-	eng := sim.NewEngine()
-	g := New(eng, cfg)
-	if got := g.Config(); len(got.Clusters) != 1 || got.Clusters[0].Nodes != 4 {
-		t.Fatalf("Config() = %+v", got)
-	}
-}
-
 func TestPhaseDecomposition(t *testing.T) {
 	cfg := quiet(4)
 	cfg.Overheads.TransferLatency = time.Second

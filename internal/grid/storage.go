@@ -82,13 +82,11 @@ type seFile struct {
 }
 
 // seState is one site's active storage element: a capacity gauge over the
-// resident replicas, an eviction policy draining it under pressure, and
-// an up/down flag making the site's replicas unreachable while dark.
+// resident replicas and an eviction policy draining it under pressure.
 type seState struct {
 	site      Site
 	gauge     *sim.Gauge
 	policy    EvictionPolicy
-	down      bool
 	files     map[string]*seFile
 	evictions uint64
 	evictedMB float64
@@ -110,8 +108,6 @@ type SEStat struct {
 	Evictions uint64
 	// EvictedMB totals the bytes those evictions freed.
 	EvictedMB float64
-	// Down reports whether the element is currently dark.
-	Down bool
 }
 
 // ConfigureSE gives the site an active storage element with the given
@@ -120,7 +116,7 @@ type SEStat struct {
 // the element's accounting. Configuring the unplaced (zero) site panics:
 // an unplaced replica is local everywhere and can neither fill nor lose a
 // storage element. Reconfiguring an existing element replaces capacity
-// and policy but keeps residency, access history and the down flag.
+// and policy but keeps residency and access history.
 func (c *Catalog) ConfigureSE(site Site, capacityMB float64, policy EvictionPolicy) {
 	if site.IsZero() {
 		panic("grid: ConfigureSE on the unplaced site")
@@ -155,34 +151,6 @@ func (c *Catalog) ConfigureSE(site Site, capacityMB float64, policy EvictionPoli
 	se.gauge = gauge
 }
 
-// SetSEDown marks the site's storage element dark (down = true) or
-// recovered. A dark element's replicas are skipped by stage planning,
-// in-flight fetch legs sourced from it fail retryably, and a consuming
-// cluster whose own close SE is dark cannot stage at all. A site never
-// configured with ConfigureSE gets an unlimited element implicitly, so
-// any placed site can be taken dark. Taking an element dark triggers the
-// repair hook for every file the darkness drops below the replica floor.
-func (c *Catalog) SetSEDown(site Site, down bool) {
-	if site.IsZero() {
-		panic("grid: SetSEDown on the unplaced site")
-	}
-	se := c.storage[site.key()]
-	if se == nil {
-		c.ConfigureSE(site, 0, nil)
-		se = c.storage[site.key()]
-	}
-	if se.down == down {
-		return
-	}
-	se.down = down
-	if down {
-		c.darkSEs++
-		c.scanBelowFloor()
-	} else {
-		c.darkSEs--
-	}
-}
-
 // setGridDark marks every storage element of the named grid dark (the
 // grid itself went down, or its storage did — Grid.SetDown and
 // Grid.SetStorageDown both push through here, which is what makes a
@@ -204,27 +172,16 @@ func (c *Catalog) setGridDark(name string, dark bool) {
 	}
 }
 
-// SiteDark reports whether the site's storage is currently unreachable:
-// its grid is dark (a compute or storage outage of the whole grid) or its
-// own storage element is down. The unplaced site is never dark.
+// SiteDark reports whether the site's storage is currently unreachable
+// because its grid is dark (a compute or storage outage of the whole
+// grid). The unplaced site is never dark.
 func (c *Catalog) SiteDark(s Site) bool {
-	if s.IsZero() {
-		return false
-	}
-	if c.darkGrids > 0 && c.gridDark[s.Grid] {
-		return true
-	}
-	if c.darkSEs > 0 {
-		if se := c.storage[s.key()]; se != nil && se.down {
-			return true
-		}
-	}
-	return false
+	return !s.IsZero() && c.darkGrids > 0 && c.gridDark[s.Grid]
 }
 
 // anyDark reports whether any storage is currently dark — the gate that
 // keeps replica liveness checks free on the location-blind hot paths.
-func (c *Catalog) anyDark() bool { return c.darkGrids > 0 || c.darkSEs > 0 }
+func (c *Catalog) anyDark() bool { return c.darkGrids > 0 }
 
 // storageActive reports whether any storage feature is in play — a
 // configured element or a dark grid. While false, stage-in keeps the
@@ -491,7 +448,6 @@ func (c *Catalog) SEStats() []SEStat {
 			Files:      len(se.files),
 			Evictions:  se.evictions,
 			EvictedMB:  se.evictedMB,
-			Down:       se.down,
 		})
 	}
 	return out

@@ -173,62 +173,10 @@ func TestEvictionRespectsReplicaFloor(t *testing.T) {
 	}
 }
 
-// TestRemoveReplicaAndUnregister pins the deterministic set maintenance:
-// removals keep the sorted-by-site invariant, removing the last copy
-// leaves the name registered-but-unavailable (the replica-lost planning
-// path), and Unregister deletes the name outright (the missing path).
-func TestRemoveReplicaAndUnregister(t *testing.T) {
-	c := NewCatalog()
-	c.RegisterAt("f", 50, sB) // registration order deliberately unsorted
-	c.AddReplica("f", sA)
-	c.AddReplica("f", Site{Grid: "g0"})
-
-	if !c.RemoveReplica("f", sB) {
-		t.Fatal("RemoveReplica of an existing copy reported false")
-	}
-	if c.RemoveReplica("f", sB) {
-		t.Error("RemoveReplica of an absent copy reported true")
-	}
-	if c.RemoveReplica("ghost", sA) {
-		t.Error("RemoveReplica of an unregistered name reported true")
-	}
-	reps := c.Replicas("f")
-	if len(reps) != 2 || reps[0].Site != (Site{Grid: "g0"}) || reps[1].Site != sA {
-		t.Fatalf("replica set after removal = %+v, want [g0, sA] in site order", reps)
-	}
-	for i := 1; i < len(reps); i++ {
-		if reps[i-1].Site.key() >= reps[i].Site.key() {
-			t.Fatal("sorted-by-site invariant broken after RemoveReplica")
-		}
-	}
-
-	// Drain to empty: the name stays registered, planning reports the
-	// file unavailable (not missing), and stage estimates refuse it.
-	c.RemoveReplica("f", Site{Grid: "g0"})
-	c.RemoveReplica("f", sA)
-	if !c.Has("f") {
-		t.Fatal("removing the last replica unregistered the name")
-	}
-	p := c.Plan([]string{"f"}, sA)
-	if p.Missing != "" || p.Unavailable != "f" {
-		t.Errorf("plan over an empty replica set: Missing=%q Unavailable=%q, want Unavailable=f", p.Missing, p.Unavailable)
-	}
-
-	if !c.Unregister("f") {
-		t.Fatal("Unregister of a registered name reported false")
-	}
-	if c.Unregister("f") {
-		t.Error("Unregister of an unknown name reported true")
-	}
-	if p := c.Plan([]string{"f"}, sA); p.Missing != "f" {
-		t.Errorf("plan after Unregister: Missing=%q, want f", p.Missing)
-	}
-}
-
 // TestPlanSkipsDarkReplicas pins dark-replica avoidance: planning picks
-// the cheapest live replica, degrades to remote copies when the local SE
-// dies, reports Unavailable when every copy is dark, and recovers exactly
-// when the elements do.
+// the cheapest live replica, degrades to remote copies when the local
+// grid goes dark, reports Unavailable when every copy is dark, and
+// recovers exactly when the grids do.
 func TestPlanSkipsDarkReplicas(t *testing.T) {
 	c := NewCatalog()
 	c.SetLinks(&Links{WAN: Link{MBps: 2, Latency: 5 * time.Second}})
@@ -239,7 +187,7 @@ func TestPlanSkipsDarkReplicas(t *testing.T) {
 		t.Fatalf("clean plan = %+v, want the local sA replica", p)
 	}
 
-	c.SetSEDown(sA, true)
+	c.setGridDark("g1", true)
 	p := c.Plan([]string{"f"}, sA)
 	if p.Unavailable != "" || p.RemoteMB != 100 || p.LocalMB != 0 {
 		t.Fatalf("plan with sA dark = %+v, want the remote sB replica", p)
@@ -253,18 +201,18 @@ func TestPlanSkipsDarkReplicas(t *testing.T) {
 		t.Errorf("LiveReplicas = %+v, want the sB copy only", live)
 	}
 
-	c.SetSEDown(sB, true)
+	c.setGridDark("g2", true)
 	if p := c.Plan([]string{"f"}, sA); p.Unavailable != "f" {
 		t.Errorf("plan with every copy dark: Unavailable=%q, want f", p.Unavailable)
 	}
 
-	c.SetSEDown(sA, false)
-	c.SetSEDown(sB, false)
+	c.setGridDark("g1", false)
+	c.setGridDark("g2", false)
 	if p := c.Plan([]string{"f"}, sA); p.Unavailable != "" || p.LocalMB != 100 {
 		t.Errorf("plan after recovery = %+v, want the local replica back", p)
 	}
 	if c.anyDark() {
-		t.Error("catalog still reports darkness after both elements recovered")
+		t.Error("catalog still reports darkness after both grids recovered")
 	}
 }
 
@@ -293,7 +241,7 @@ func TestUnplacedReplicaNeverDark(t *testing.T) {
 	c := NewCatalog()
 	c.Register("f", 10)
 	c.setGridDark("g1", true)
-	c.SetSEDown(sB, true)
+	c.setGridDark("g2", true)
 	if p := c.Plan([]string{"f"}, sA); p.Missing != "" || p.Unavailable != "" || p.LocalMB != 10 {
 		t.Errorf("unplaced replica planned %+v under total darkness, want plain local", p)
 	}

@@ -42,10 +42,6 @@ func (g *Grid) Tenant(name string) *Tenant {
 // Name returns the tenant's name.
 func (t *Tenant) Name() string { return t.name }
 
-// Grid returns the underlying shared grid (catalog, configuration, global
-// statistics).
-func (t *Tenant) Grid() *Grid { return t.g }
-
 // Catalog returns the shared grid's replica catalog. Together with Submit
 // it makes *Tenant satisfy services.Submitter.
 func (t *Tenant) Catalog() *Catalog { return t.g.catalog }

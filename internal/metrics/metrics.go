@@ -27,11 +27,6 @@ type Line struct {
 	R2 float64
 }
 
-// Eval returns the fitted value at x, as a duration.
-func (l Line) Eval(x float64) time.Duration {
-	return time.Duration((l.Intercept + l.Slope*x) * float64(time.Second))
-}
-
 // String renders the fitted line the way the paper's figures caption it.
 func (l Line) String() string {
 	return fmt.Sprintf("y = %.0f s + %.1f s/dataset (R²=%.3f)", l.Intercept, l.Slope, l.R2)
@@ -109,40 +104,4 @@ func SlopeRatio(reference, analyzed Line) float64 {
 		return math.Inf(1)
 	}
 	return reference.Slope / analyzed.Slope
-}
-
-// Summary holds basic descriptive statistics of a duration sample.
-type Summary struct {
-	N        int
-	Mean, SD time.Duration
-	Min, Max time.Duration
-}
-
-// Summarize computes descriptive statistics.
-func Summarize(sample []time.Duration) Summary {
-	s := Summary{N: len(sample)}
-	if s.N == 0 {
-		return s
-	}
-	s.Min, s.Max = sample[0], sample[0]
-	var sum, sum2 float64
-	for _, d := range sample {
-		f := d.Seconds()
-		sum += f
-		sum2 += f * f
-		if d < s.Min {
-			s.Min = d
-		}
-		if d > s.Max {
-			s.Max = d
-		}
-	}
-	mean := sum / float64(s.N)
-	varr := sum2/float64(s.N) - mean*mean
-	if varr < 0 {
-		varr = 0
-	}
-	s.Mean = time.Duration(mean * float64(time.Second))
-	s.SD = time.Duration(math.Sqrt(varr) * float64(time.Second))
-	return s
 }

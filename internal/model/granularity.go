@@ -67,6 +67,8 @@ func OptimalBatch(p GranularityParams) (k int, makespan time.Duration) {
 
 // GranularitySweep returns the predicted makespan for every batch size in
 // [1, Items] — the curve the ablation benchmarks trace empirically.
+//
+//moteur:keep the paper's job-granularity trade-off (Sec. 5.4-5.5) in closed form, checked by the model tests
 func GranularitySweep(p GranularityParams) []time.Duration {
 	if p.Items <= 0 {
 		return nil

@@ -17,9 +17,13 @@ import (
 // Matrix is the treatment-duration matrix: T[i][j] is the duration of
 // processing data set j by the i-th service of the critical path,
 // including grid overhead (Sec. 3.5.1).
+//
+//moteur:keep the paper's Sec. 3.5 execution-time model; the model tests and paper benchmarks check the enactor against it
 type Matrix [][]time.Duration
 
 // Constant returns an nW×nD matrix with all entries t.
+//
+//moteur:keep the paper's Sec. 3.5 execution-time model; the model tests and paper benchmarks check the enactor against it
 func Constant(nW, nD int, t time.Duration) Matrix {
 	m := make(Matrix, nW)
 	for i := range m {
@@ -32,6 +36,8 @@ func Constant(nW, nD int, t time.Duration) Matrix {
 }
 
 // Validate checks the matrix is rectangular and non-empty.
+//
+//moteur:keep the paper's Sec. 3.5 execution-time model; the model tests and paper benchmarks check the enactor against it
 func (m Matrix) Validate() error {
 	if len(m) == 0 || len(m[0]) == 0 {
 		return fmt.Errorf("model: empty matrix")
@@ -57,6 +63,8 @@ func (m Matrix) ND() int {
 
 // Sequential is equation (1): Σ = Σi Σj Ti,j — no service or data
 // parallelism.
+//
+//moteur:keep the paper's Sec. 3.5 execution-time model; the model tests and paper benchmarks check the enactor against it
 func Sequential(m Matrix) time.Duration {
 	var sum time.Duration
 	for _, row := range m {
@@ -69,6 +77,8 @@ func Sequential(m Matrix) time.Duration {
 
 // DP is equation (2): ΣDP = Σi maxj{Ti,j} — data parallelism only, with a
 // synchronization of the whole data set between successive services.
+//
+//moteur:keep the paper's Sec. 3.5 execution-time model; the model tests and paper benchmarks check the enactor against it
 func DP(m Matrix) time.Duration {
 	var sum time.Duration
 	for _, row := range m {
@@ -88,6 +98,8 @@ func DP(m Matrix) time.Duration {
 //
 //	m(i,j) = max(T(i−1,j)+m(i−1,j), T(i,j−1)+m(i,j−1))
 //	m(0,j) = Σk<j T(0,k);  m(i,0) = Σk<i T(k,0)
+//
+//moteur:keep the paper's Sec. 3.5 execution-time model; the model tests and paper benchmarks check the enactor against it
 func SP(m Matrix) time.Duration {
 	nW, nD := m.NW(), m.ND()
 	start := make([][]time.Duration, nW)
@@ -116,6 +128,8 @@ func SP(m Matrix) time.Duration {
 
 // DSP is equation (4): ΣDSP = maxj{Σi Ti,j} — both data and service
 // parallelism: each data set flows independently through the pipeline.
+//
+//moteur:keep the paper's Sec. 3.5 execution-time model; the model tests and paper benchmarks check the enactor against it
 func DSP(m Matrix) time.Duration {
 	nW, nD := m.NW(), m.ND()
 	var max time.Duration
@@ -133,6 +147,8 @@ func DSP(m Matrix) time.Duration {
 
 // Speedups are the asymptotic speed-ups of Sec. 3.5.4 under the
 // constant-time hypothesis Ti,j = T.
+//
+//moteur:keep the paper's Sec. 3.5 execution-time model; the model tests and paper benchmarks check the enactor against it
 type Speedups struct {
 	// SDP = Σ/ΣDP = nD: data parallelism with service parallelism disabled.
 	SDP float64
@@ -150,6 +166,8 @@ type Speedups struct {
 
 // ConstantTimeSpeedups returns the closed-form speed-ups for nW services
 // and nD data sets under constant treatment times.
+//
+//moteur:keep the paper's Sec. 3.5 execution-time model; the model tests and paper benchmarks check the enactor against it
 func ConstantTimeSpeedups(nW, nD int) Speedups {
 	w, d := float64(nW), float64(nD)
 	return Speedups{

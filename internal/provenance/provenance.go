@@ -62,9 +62,6 @@ type Tracker struct {
 // NewTracker returns a fresh tracker.
 func NewTracker() *Tracker { return &Tracker{} }
 
-// Minted returns how many items have been created.
-func (t *Tracker) Minted() int { return t.nextID }
-
 // Source mints an item produced by a data source: index vector [idx].
 func (t *Tracker) Source(source string, idx int, value string) *Item {
 	index := []int{idx}
@@ -72,12 +69,6 @@ func (t *Tracker) Source(source string, idx int, value string) *Item {
 	n.Processor = source
 	n.Index = index
 	return t.mint(value, index, n)
-}
-
-// Constant mints an index-free item (a workflow constant). Constants match
-// any index in a dot product.
-func (t *Tracker) Constant(value string) *Item {
-	return t.mint(value, nil, t.nodes.New())
 }
 
 // Derive mints an item produced by processor on port with the given index
@@ -138,6 +129,8 @@ func (it *Item) String() string {
 //	crestMatch[0]( crestLines[0]( ref[0], flo[0] ), ref[0] )
 //
 // which identifies the data unambiguously (Sec. 4.1).
+//
+//moteur:keep test observer of the history trees the enactor builds
 func (n *Node) Render() string {
 	var b strings.Builder
 	n.render(&b)
@@ -202,21 +195,4 @@ func (n *Node) Sources() []string {
 	}
 	walk(n)
 	return out
-}
-
-// SameIndex reports whether two index vectors are identical. A nil vector
-// (constant) matches anything.
-func SameIndex(a, b []int) bool {
-	if a == nil || b == nil {
-		return true
-	}
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

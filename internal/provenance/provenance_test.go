@@ -36,9 +36,6 @@ func TestIDsUnique(t *testing.T) {
 		}
 		seen[it.ID] = true
 	}
-	if tr.Minted() != 100 {
-		t.Fatalf("Minted = %d", tr.Minted())
-	}
 }
 
 func TestTrackersIndependent(t *testing.T) {
@@ -80,17 +77,6 @@ func TestRender(t *testing.T) {
 	}
 }
 
-func TestRenderConstant(t *testing.T) {
-	tr := NewTracker()
-	c := tr.Constant("-s 0.5")
-	if got := c.History.Render(); got != "const[*]" {
-		t.Errorf("constant render = %q", got)
-	}
-	if c.Key() != "*" {
-		t.Errorf("constant key = %q", c.Key())
-	}
-}
-
 func TestSources(t *testing.T) {
 	tr := NewTracker()
 	ref := tr.Source("ref", 2, "r")
@@ -126,26 +112,6 @@ func TestItemString(t *testing.T) {
 	it := tr.Source("s", 4, "gfn://x")
 	if got := it.String(); got != "gfn://x[4]" {
 		t.Errorf("String = %q", got)
-	}
-}
-
-func TestSameIndex(t *testing.T) {
-	cases := []struct {
-		a, b []int
-		want bool
-	}{
-		{[]int{1, 2}, []int{1, 2}, true},
-		{[]int{1, 2}, []int{1, 3}, false},
-		{[]int{1}, []int{1, 2}, false},
-		{nil, []int{5, 6}, true}, // constant matches anything
-		{[]int{5}, nil, true},
-		{nil, nil, true},
-		{[]int{}, []int{}, true},
-	}
-	for _, c := range cases {
-		if got := SameIndex(c.a, c.b); got != c.want {
-			t.Errorf("SameIndex(%v,%v) = %v, want %v", c.a, c.b, got, c.want)
-		}
 	}
 }
 

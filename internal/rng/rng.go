@@ -142,24 +142,6 @@ func (r *Source) Exponential(mean float64) float64 {
 	return -mean * math.Log(1-u)
 }
 
-// TruncNormal returns a normal value truncated (by resampling) to [lo, hi].
-// It panics if lo > hi. If the acceptance region is far in the tail the
-// resampling loop could spin; callers use it for mild truncations only, and
-// after 1024 rejected draws it falls back to clamping.
-func (r *Source) TruncNormal(mean, sd, lo, hi float64) float64 {
-	if lo > hi {
-		panic("rng: TruncNormal with lo > hi")
-	}
-	for i := 0; i < 1024; i++ {
-		v := r.Normal(mean, sd)
-		if v >= lo && v <= hi {
-			return v
-		}
-	}
-	v := r.Normal(mean, sd)
-	return math.Min(math.Max(v, lo), hi)
-}
-
 // Perm returns a random permutation of [0,n).
 func (r *Source) Perm(n int) []int {
 	p := make([]int, n)

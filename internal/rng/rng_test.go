@@ -202,25 +202,6 @@ func TestExponentialNonNegative(t *testing.T) {
 	}
 }
 
-func TestTruncNormalBounds(t *testing.T) {
-	r := New(14)
-	for i := 0; i < 10000; i++ {
-		v := r.TruncNormal(0, 1, -0.5, 0.5)
-		if v < -0.5 || v > 0.5 {
-			t.Fatalf("TruncNormal out of bounds: %g", v)
-		}
-	}
-}
-
-func TestTruncNormalFarTailClamps(t *testing.T) {
-	r := New(15)
-	// Acceptance region 50 sigma away: resampling cannot hit it; must clamp.
-	v := r.TruncNormal(0, 1, 50, 51)
-	if v < 50 || v > 51 {
-		t.Fatalf("TruncNormal far-tail fallback out of bounds: %g", v)
-	}
-}
-
 func TestPermIsPermutation(t *testing.T) {
 	r := New(16)
 	p := r.Perm(100)

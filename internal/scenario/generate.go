@@ -46,6 +46,8 @@ func (sz SizeSpec) Draw(r *rng.Source) float64 {
 // Quantile returns the distribution's analytic p-quantile (p in (0,1)),
 // ignoring the MaxMB cap — the reference value the statistical property
 // tests compare empirical draws against.
+//
+//moteur:keep analytic oracle the size-distribution tests compare sampled draws against
 func (sz SizeSpec) Quantile(p float64) float64 {
 	switch sz.Kind {
 	case "constant":

@@ -498,6 +498,14 @@ func (s *Spec) errAt(token, format string, args ...any) error {
 // largest library world has 8 grids.
 const maxGrids = 1024
 
+// maxTenants and maxJobs bound the tenants a spec's groups expand to and
+// their jobs (tenants × items). The largest library world, metropolis,
+// has 2000 tenants and 100k jobs.
+const (
+	maxTenants = 20_000
+	maxJobs    = 1_000_000
+)
+
 // GridNames returns the expanded member-grid names in brokering order.
 func (s *Spec) GridNames() []string {
 	var names []string
@@ -649,6 +657,7 @@ func (s *Spec) Validate() error {
 		return s.errAt(s.Name, "scenario has no tenant groups")
 	}
 	seenPrefix := make(map[string]bool)
+	tenants, jobs := 0, 0
 	for _, g := range s.Tenants {
 		if g.Prefix == "" {
 			return s.errAt("tenants", "tenant group with an empty prefix")
@@ -660,6 +669,12 @@ func (s *Spec) Validate() error {
 		if g.Count < 0 {
 			return s.errAt(g.Prefix, "tenant group %q has a negative count", g.Prefix)
 		}
+		// Bound the population before Compile builds it, as for grids.
+		n := max(g.Count, 1)
+		if n > maxTenants-tenants {
+			return s.errAt(g.Prefix, "tenant groups expand to more than %d tenants", maxTenants)
+		}
+		tenants += n
 		if _, ok := s.Policies[g.Policy]; !ok {
 			return s.errAt(g.Policy, "tenant group %q references missing policy %q", g.Prefix, g.Policy)
 		}
@@ -672,6 +687,10 @@ func (s *Spec) Validate() error {
 		if err := s.validateWorkload(g, gridSet); err != nil {
 			return err
 		}
+		if g.Workload.Items > (maxJobs-jobs)/n {
+			return s.errAt(g.Prefix, "tenant groups expand to more than %d jobs (tenants × items)", maxJobs)
+		}
+		jobs += n * g.Workload.Items
 		if a := g.Adapt; a != nil && a.Interval <= 0 {
 			return s.errAt(g.Prefix, "tenant group %q adapt interval must be positive", g.Prefix)
 		}

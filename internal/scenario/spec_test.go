@@ -192,6 +192,14 @@ func TestSpecRejectsTenantErrors(t *testing.T) {
 	mustReject(t, edit(t, `"prefix": "t", "count": 2, "policy": "p",`,
 		`"prefix": "t", "count": -2, "policy": "p",`),
 		"t", `tenant group "t" has a negative count`)
+
+	// The population and its jobs are bounded before Compile builds
+	// them: a count of 1e9 used to be compiled without limit.
+	mustReject(t, edit(t, `"prefix": "t", "count": 2, "policy": "p",`,
+		`"prefix": "t", "count": 1000000000, "policy": "p",`),
+		"t", "more than 20000 tenants")
+	mustReject(t, edit(t, `"stages": 1, "items": 2,`, `"stages": 1, "items": 500001,`),
+		"t", "more than 1000000 jobs")
 	mustReject(t, edit(t, `"kind": "staggered", "spread": "30s"`, `"kind": "sometimes"`),
 		"sometimes", `unknown arrival kind "sometimes"`)
 	mustReject(t, edit(t, `"kind": "staggered", "spread": "30s"`, `"kind": "poisson"`),

@@ -228,6 +228,8 @@ func splitRef(ref string) (proc, port string, err error) {
 // Write renders a workflow back to the Scufl dialect. Embedded wrapper
 // definitions are not reconstructed; processors reference their service by
 // name, so the document re-parses against a registry.
+//
+//moteur:keep round-trip oracle: the scufl tests re-parse what it writes
 func Write(w *workflow.Workflow) ([]byte, error) {
 	doc := scuflXML{Name: w.Name}
 	for _, p := range w.Processors() {

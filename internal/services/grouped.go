@@ -109,11 +109,6 @@ func (gs *Grouped) ExternalInputs() []string {
 	return out
 }
 
-// OutputNames lists the exposed output ports: the last member's outputs.
-func (gs *Grouped) OutputNames() []string {
-	return gs.members[len(gs.members)-1].W.Descriptor().OutputNames()
-}
-
 // Invoke implements Service: it composes one command line covering all
 // member codes and submits a single grid job. External inputs are read
 // from req.Inputs under their qualified names; intermediate results are

@@ -142,9 +142,3 @@ func (l *Local) Invoke(req Request, done func(Response)) {
 		})
 	})
 }
-
-// Busy reports the number of in-flight executions on the host.
-func (l *Local) Busy() int { return l.host.Busy() }
-
-// Waiting reports calls queued for a host slot.
-func (l *Local) Waiting() int { return l.host.Waiting() }

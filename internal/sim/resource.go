@@ -19,7 +19,6 @@ type Resource struct {
 	capacity  int
 	busy      int
 	queue     []waiter
-	peakBusy  int
 	peakWait  int
 	grants    uint64
 	freeHolds []*hold
@@ -62,9 +61,6 @@ func (r *Resource) Busy() int { return r.busy }
 // Waiting returns the number of queued acquisition requests.
 func (r *Resource) Waiting() int { return len(r.queue) }
 
-// PeakBusy returns the maximum number of simultaneously held slots observed.
-func (r *Resource) PeakBusy() int { return r.peakBusy }
-
 // PeakWaiting returns the maximum observed queue length.
 func (r *Resource) PeakWaiting() int { return r.peakWait }
 
@@ -105,9 +101,6 @@ func (r *Resource) acquire(w waiter) {
 func (r *Resource) grant(w waiter) {
 	r.busy++
 	r.grants++
-	if r.busy > r.peakBusy {
-		r.peakBusy = r.busy
-	}
 	w.afn(w.arg)
 }
 

@@ -165,7 +165,7 @@ func (w *Workflow) TopoOrder() ([]string, error) {
 		}
 	}
 	if len(out) != len(w.procs) {
-		return nil, errCycle(w)
+		return nil, fmt.Errorf("workflow %s: graph has a cycle", w.Name)
 	}
 	return out, nil
 }
@@ -173,6 +173,8 @@ func (w *Workflow) TopoOrder() ([]string, error) {
 // CriticalPathLength returns nW: the number of service processors on the
 // longest source-to-sink path (sources and sinks excluded), the quantity
 // the paper's model calls the number of services on the critical path.
+//
+//moteur:keep nW of the paper's execution-time model (Sec. 3.5), read off workflows by the model and paper tests
 func (w *Workflow) CriticalPathLength() (int, error) {
 	topo, err := w.TopoOrder()
 	if err != nil {
@@ -203,6 +205,8 @@ func (w *Workflow) CriticalPathLength() (int, error) {
 
 // Ancestors returns every processor from which name is reachable through
 // data links or constraints (name excluded). Works on cyclic graphs.
+//
+//moteur:keep oracle the topology tests compare the reached index against
 func (w *Workflow) Ancestors(name string) map[string]bool {
 	out := make(map[string]bool)
 	var visit func(string)

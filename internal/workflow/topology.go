@@ -1,11 +1,5 @@
 package workflow
 
-import "fmt"
-
-func errCycle(w *Workflow) error {
-	return fmt.Errorf("workflow %s: graph has a cycle", w.Name)
-}
-
 // Topology is a precomputed, immutable view of a workflow's graph
 // structure. The naive Workflow accessors (Outgoing, Predecessors,
 // Ancestors, ...) rescan w.Links or re-run graph walks on every call,
@@ -15,18 +9,14 @@ func errCycle(w *Workflow) error {
 // Build it with Workflow.Topology() after the graph is fully constructed;
 // it is a snapshot and does not observe later Add/Connect/Constrain calls.
 type Topology struct {
-	w     *Workflow
-	names []string       // insertion order
-	index map[string]int // name → position in names
+	index map[string]int // name → position in insertion order
 
-	outgoing [][]Link            // per proc, links leaving it, in w.Links order
-	incoming []map[string][]Link // per proc, in port → links, in w.Links order
+	outgoing [][]Link // per proc, links leaving it, in w.Links order
 
 	preds [][]string // distinct data+constraint predecessors, sorted
 	succs [][]string // distinct data+constraint successors, sorted
 
-	constraintsAfter     [][]Constraint // constraints with After == proc, in declaration order
-	constraintDependents [][]string     // distinct procs with a constraint Before == proc, sorted
+	constraintsAfter [][]Constraint // constraints with After == proc, in declaration order
 
 	ancestors []map[string]bool // lazy memo; nil until first Ancestors call
 }
@@ -37,31 +27,25 @@ type Topology struct {
 func (w *Workflow) Topology() *Topology {
 	n := len(w.order)
 	t := &Topology{
-		w:     w,
-		names: append([]string(nil), w.order...),
 		index: make(map[string]int, n),
 
 		outgoing: make([][]Link, n),
-		incoming: make([]map[string][]Link, n),
 
 		preds: make([][]string, n),
 		succs: make([][]string, n),
 
-		constraintsAfter:     make([][]Constraint, n),
-		constraintDependents: make([][]string, n),
+		constraintsAfter: make([][]Constraint, n),
 
 		ancestors: make([]map[string]bool, n),
 	}
-	for i, name := range t.names {
+	for i, name := range w.order {
 		t.index[name] = i
 	}
 	predSets := make([]map[string]bool, n)
 	succSets := make([]map[string]bool, n)
-	depSets := make([]map[string]bool, n)
-	for i := range t.names {
+	for i := range predSets {
 		predSets[i] = make(map[string]bool)
 		succSets[i] = make(map[string]bool)
-		depSets[i] = make(map[string]bool)
 	}
 	for _, l := range w.Links {
 		if i, ok := t.index[l.FromProc]; ok {
@@ -69,10 +53,6 @@ func (w *Workflow) Topology() *Topology {
 			succSets[i][l.ToProc] = true
 		}
 		if i, ok := t.index[l.ToProc]; ok {
-			if t.incoming[i] == nil {
-				t.incoming[i] = make(map[string][]Link)
-			}
-			t.incoming[i][l.ToPort] = append(t.incoming[i][l.ToPort], l)
 			predSets[i][l.FromProc] = true
 		}
 	}
@@ -83,27 +63,14 @@ func (w *Workflow) Topology() *Topology {
 		}
 		if i, ok := t.index[c.Before]; ok {
 			succSets[i][c.After] = true
-			depSets[i][c.After] = true
 		}
 	}
-	for i := range t.names {
+	for i := range predSets {
 		t.preds[i] = sortedKeys(predSets[i])
 		t.succs[i] = sortedKeys(succSets[i])
-		t.constraintDependents[i] = sortedKeys(depSets[i])
 	}
 	return t
 }
-
-// Index returns the dense index of a processor name (its position in
-// insertion order) and whether the name is known.
-func (t *Topology) Index(name string) (int, bool) {
-	i, ok := t.index[name]
-	return i, ok
-}
-
-// Names returns the processor names in insertion order. The caller must
-// not modify the returned slice.
-func (t *Topology) Names() []string { return t.names }
 
 // Outgoing returns the links leaving the processor, in declaration order —
 // the cached equivalent of Workflow.Outgoing. The caller must not modify
@@ -114,17 +81,6 @@ func (t *Topology) Outgoing(name string) []Link {
 		return nil
 	}
 	return t.outgoing[i]
-}
-
-// Incoming returns the links feeding the processor, grouped by input
-// port — the cached equivalent of Workflow.Incoming. The caller must not
-// modify the returned map or slices.
-func (t *Topology) Incoming(name string) map[string][]Link {
-	i, ok := t.index[name]
-	if !ok {
-		return nil
-	}
-	return t.incoming[i]
 }
 
 // Predecessors returns the distinct upstream processor names (data links
@@ -159,16 +115,6 @@ func (t *Topology) ConstraintsAfter(name string) []Constraint {
 	return t.constraintsAfter[i]
 }
 
-// ConstraintDependents returns the distinct processors gated on the
-// completion of name (constraints with Before == name), sorted.
-func (t *Topology) ConstraintDependents(name string) []string {
-	i, ok := t.index[name]
-	if !ok {
-		return nil
-	}
-	return t.constraintDependents[i]
-}
-
 // Ancestors returns every processor from which name is reachable through
 // data links or constraints (name excluded) — the cached equivalent of
 // Workflow.Ancestors. Works on cyclic graphs. The set is computed on
@@ -199,36 +145,4 @@ func (t *Topology) Ancestors(name string) map[string]bool {
 	delete(out, name)
 	t.ancestors[i] = out
 	return out
-}
-
-// TopoOrder returns processor names in a topological order of the combined
-// data-link and constraint graph, with insertion-order tie-breaking — the
-// cached equivalent of Workflow.TopoOrder. It fails if the graph has a
-// cycle.
-func (t *Topology) TopoOrder() ([]string, error) {
-	indeg := make([]int, len(t.names))
-	var queue []string
-	for i := range t.names {
-		indeg[i] = len(t.preds[i])
-		if indeg[i] == 0 {
-			queue = append(queue, t.names[i])
-		}
-	}
-	var out []string
-	for len(queue) > 0 {
-		n := queue[0]
-		queue = queue[1:]
-		out = append(out, n)
-		for _, succ := range t.succs[t.index[n]] {
-			j := t.index[succ]
-			indeg[j]--
-			if indeg[j] == 0 {
-				queue = append(queue, succ)
-			}
-		}
-	}
-	if len(out) != len(t.names) {
-		return nil, errCycle(t.w)
-	}
-	return out, nil
 }

@@ -71,18 +71,6 @@ func naiveConstraintsAfter(w *Workflow, name string) []Constraint {
 	return out
 }
 
-// naiveConstraintDependents returns the sorted distinct processors gated on
-// name.
-func naiveConstraintDependents(w *Workflow, name string) []string {
-	set := make(map[string]bool)
-	for _, c := range w.Constraints {
-		if c.Before == name {
-			set[c.After] = true
-		}
-	}
-	return sortedKeys(set)
-}
-
 // TestTopologyMatchesNaive checks, on randomized graphs (cyclic and
 // acyclic, with occasional dangling endpoints), that every cached answer
 // matches the naive link-scanning implementation.
@@ -96,9 +84,6 @@ func TestTopologyMatchesNaive(t *testing.T) {
 			if got, want := topo.Outgoing(name), w.Outgoing(name); !sameLinks(got, want) {
 				t.Fatalf("seed %d: Outgoing(%s) = %v, naive %v", seed, name, got, want)
 			}
-			if got, want := topo.Incoming(name), w.Incoming(name); !sameLinkMaps(got, want) {
-				t.Fatalf("seed %d: Incoming(%s) = %v, naive %v", seed, name, got, want)
-			}
 			if got, want := topo.Predecessors(name), w.Predecessors(name); !sameStrings(got, want) {
 				t.Fatalf("seed %d: Predecessors(%s) = %v, naive %v", seed, name, got, want)
 			}
@@ -111,17 +96,6 @@ func TestTopologyMatchesNaive(t *testing.T) {
 			if got, want := topo.ConstraintsAfter(name), naiveConstraintsAfter(w, name); !reflect.DeepEqual(got, want) && (len(got) != 0 || len(want) != 0) {
 				t.Fatalf("seed %d: ConstraintsAfter(%s) = %v, naive %v", seed, name, got, want)
 			}
-			if got, want := topo.ConstraintDependents(name), naiveConstraintDependents(w, name); !sameStrings(got, want) {
-				t.Fatalf("seed %d: ConstraintDependents(%s) = %v, naive %v", seed, name, got, want)
-			}
-		}
-		gotOrder, gotErr := topo.TopoOrder()
-		wantOrder, wantErr := w.TopoOrder()
-		if (gotErr == nil) != (wantErr == nil) {
-			t.Fatalf("seed %d: TopoOrder error mismatch: cached %v, naive %v", seed, gotErr, wantErr)
-		}
-		if gotErr == nil && !sameStrings(gotOrder, wantOrder) {
-			t.Fatalf("seed %d: TopoOrder = %v, naive %v", seed, gotOrder, wantOrder)
 		}
 	}
 }
@@ -165,9 +139,6 @@ func TestTopologyUnknownName(t *testing.T) {
 	if got := topo.Ancestors("nope"); len(got) != 0 {
 		t.Fatalf("Ancestors(unknown) = %v", got)
 	}
-	if _, ok := topo.Index("nope"); ok {
-		t.Fatal("Index(unknown) reported ok")
-	}
 }
 
 // TestTopologySnapshot checks that a Topology is a snapshot: links added
@@ -192,28 +163,6 @@ func sameLinks(a, b []Link) bool {
 	}
 	for i := range a {
 		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-func sameLinkMaps(a, b map[string][]Link) bool {
-	if len(a) != len(b) {
-		// Tolerate nil-vs-empty: both mean "no incoming links".
-		return emptyLinkMap(a) && emptyLinkMap(b)
-	}
-	for k, av := range a {
-		if !sameLinks(av, b[k]) {
-			return false
-		}
-	}
-	return true
-}
-
-func emptyLinkMap(m map[string][]Link) bool {
-	for _, v := range m {
-		if len(v) != 0 {
 			return false
 		}
 	}
