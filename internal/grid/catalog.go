@@ -138,6 +138,10 @@ func (c *Catalog) RegisterAt(name string, sizeMB float64, site Site) {
 	e.sizeMB = sizeMB
 	e.inline[0] = Replica{Site: site, SizeMB: sizeMB}
 	e.reps = e.inline[:1]
+	// The replaced copies left their evictable indexes with their
+	// residency, and the new one joins its element outside the index: a
+	// single-copy file is never over floorOr1(), so there is nothing to
+	// refile.
 	c.addResident(name, sizeMB, site)
 	c.checkFloor(name, e)
 }
@@ -159,13 +163,15 @@ func (c *Catalog) AddReplica(name string, site Site) bool {
 	copy(e.reps[i+1:], e.reps[i:])
 	e.reps[i] = Replica{Site: site, SizeMB: e.sizeMB}
 	c.addResident(name, e.sizeMB, site)
+	c.refile(name, e)
 	return true
 }
 
 // dropReplica removes the site's replica from the entry's sorted set,
-// reporting whether one was present. It is the bare set maintenance —
-// callers account storage residency and the replication floor themselves
-// (eviction has already done both when it gets here).
+// reporting whether one was present, and re-files the file's remaining
+// resident copies in their evictable indexes. Callers account the dropped
+// copy's residency and the replication floor themselves (eviction has
+// already done both when it gets here).
 func (c *Catalog) dropReplica(name string, site Site) bool {
 	e, ok := c.files[name]
 	if !ok {
@@ -177,6 +183,7 @@ func (c *Catalog) dropReplica(name string, site Site) bool {
 		return false
 	}
 	e.reps = append(e.reps[:i], e.reps[i+1:]...)
+	c.refile(name, e)
 	return true
 }
 

@@ -26,7 +26,10 @@ type SEFile struct {
 // under capacity pressure. Implementations must be pure functions of the
 // two candidates — eviction runs inside the single-threaded engine and
 // golden tests pin its drain order — and must totally order distinct
-// candidates (use the file name as the final tie-break).
+// candidates (use the file name as the final tie-break). The total order
+// is load-bearing: the victim is the policy minimum over an unordered
+// evictable index, and only a total order makes that minimum the same
+// whatever order the index is scanned in.
 type EvictionPolicy interface {
 	// Name identifies the policy in reports and CLI tables.
 	Name() string
@@ -83,11 +86,16 @@ type seFile struct {
 
 // seState is one site's active storage element: a capacity gauge over the
 // resident replicas and an eviction policy draining it under pressure.
+// evictable indexes the residents eviction may drain — those whose file
+// has more than floorOr1() replicas — sharing their records with files;
+// Catalog.refile keeps it exact on every change to a replica count,
+// residency or the floor.
 type seState struct {
 	site      Site
 	gauge     *sim.Gauge
 	policy    EvictionPolicy
 	files     map[string]*seFile
+	evictable map[string]*seFile
 	evictions uint64
 	evictedMB float64
 }
@@ -130,7 +138,7 @@ func (c *Catalog) ConfigureSE(site Site, capacityMB float64, policy EvictionPoli
 	key := site.key()
 	se, ok := c.storage[key]
 	if !ok {
-		se = &seState{site: site, files: make(map[string]*seFile)}
+		se = &seState{site: site, files: make(map[string]*seFile), evictable: make(map[string]*seFile)}
 		c.storage[key] = se
 		// Adopt replicas already pinned at the site, in lexical name order
 		// so the gauge's floating-point accumulation is deterministic.
@@ -139,6 +147,7 @@ func (c *Catalog) ConfigureSE(site Site, capacityMB float64, policy EvictionPoli
 			for _, r := range e.reps {
 				if r.Site == site {
 					se.files[name] = &seFile{sizeMB: e.sizeMB, lastAccess: c.clock()}
+					c.refile(name, e)
 				}
 			}
 		}
@@ -199,6 +208,10 @@ func (c *Catalog) SetReplicaFloor(k int) {
 		k = 0
 	}
 	c.floor = k
+	//moteur:orderinvariant refile only moves residents into or out of the evictable sets
+	for name, e := range c.files {
+		c.refile(name, e)
+	}
 }
 
 // SetRepairHook registers the callback invoked, synchronously and inside
@@ -292,7 +305,7 @@ func (c *Catalog) addResident(name string, sizeMB float64, site Site) {
 	if _, ok := se.files[name]; ok {
 		return
 	}
-	c.ensureRoom(se, name, sizeMB)
+	c.ensureRoom(se, sizeMB)
 	se.files[name] = &seFile{sizeMB: sizeMB, lastAccess: c.clock()}
 	se.gauge.Add(sizeMB)
 }
@@ -312,63 +325,81 @@ func (c *Catalog) removeResident(name string, site Site) {
 		return
 	}
 	delete(se.files, name)
+	delete(se.evictable, name)
 	se.gauge.Remove(f.sizeMB)
 }
 
-// ensureRoom evicts resident replicas until the incoming file fits,
-// draining in the element's policy order. The incoming file itself and
-// any file at or below the replication floor are never victims; when
-// nothing is evictable the element overflows (capacity is soft — the real
-// SE would reject the write, but failing a stage-out over an accounting
-// limit would deadlock repair, so overflow plus the gauge's peak record
-// is the honest model).
-func (c *Catalog) ensureRoom(se *seState, incoming string, sizeMB float64) {
+// refile files every resident copy of the file into or out of its
+// element's evictable index: a copy is evictable exactly when the file
+// has more than floorOr1() replicas. It runs after every change to the
+// file's replica count or residency, and for every file when the floor
+// changes, which keeps each index equal to {resident ∧ over the floor}.
+func (c *Catalog) refile(name string, e *catEntry) {
+	if len(c.storage) == 0 {
+		return
+	}
+	evictable := len(e.reps) > c.floorOr1()
+	for _, r := range e.reps {
+		se := c.storage[r.Site.key()]
+		if se == nil {
+			continue
+		}
+		if f, ok := se.files[name]; ok && evictable {
+			se.evictable[name] = f
+		} else {
+			delete(se.evictable, name)
+		}
+	}
+}
+
+// ensureRoom evicts resident replicas until an incoming file of the given
+// size fits, draining in the element's policy order. The incoming file is
+// not resident yet, and files at or below the replication floor are not
+// in the evictable index, so neither is ever a victim; when nothing is
+// evictable the element overflows (capacity is soft — the real SE would
+// reject the write, but failing a stage-out over an accounting limit
+// would deadlock repair, so overflow plus the gauge's peak record is the
+// honest model).
+func (c *Catalog) ensureRoom(se *seState, sizeMB float64) {
 	if se.gauge.Unlimited() {
 		return
 	}
 	for se.gauge.Over(sizeMB) {
-		victim := c.pickVictim(se, incoming)
-		if victim == "" {
+		victim, ok := c.pickVictim(se)
+		if !ok {
 			return
 		}
 		c.evictReplica(se, victim)
 	}
 }
 
-// pickVictim returns the policy-first evictable resident (empty when
-// nothing is evictable). Candidates are scanned in lexical name order and
-// compared under the element's policy, so the choice is deterministic
-// regardless of map iteration order.
-func (c *Catalog) pickVictim(se *seState, incoming string) string {
-	floor := c.floorOr1()
-	var best string
-	var bestFile SEFile
-	for _, name := range sortedKeys(se.files) {
-		if name == incoming {
-			continue
-		}
-		e := c.files[name]
-		if e == nil || len(e.reps) <= floor {
-			continue
-		}
-		f := se.files[name]
-		cand := SEFile{Name: name, SizeMB: f.sizeMB, LastAccess: f.lastAccess, Hits: f.hits}
-		if best == "" || se.policy.Before(cand, bestFile) {
-			best, bestFile = name, cand
+// pickVictim returns the policy-first resident of the element's evictable
+// index (ok false when the index is empty). Floor-protected residents are
+// never visited. The scan is in map order: EvictionPolicy totally orders
+// distinct candidates, so the minimum — and with it the drain order the
+// goldens pin — is the same whatever order the candidates arrive in.
+func (c *Catalog) pickVictim(se *seState) (name string, ok bool) {
+	var best SEFile
+	//moteur:orderinvariant the policy totally orders distinct candidates (name last), so the minimum is scan-order free
+	for n, f := range se.evictable {
+		cand := SEFile{Name: n, SizeMB: f.sizeMB, LastAccess: f.lastAccess, Hits: f.hits}
+		if !ok || se.policy.Before(cand, best) {
+			best, ok = cand, true
 		}
 	}
-	return best
+	return best.Name, ok
 }
 
 // evictReplica drains one resident replica from the element: the replica
 // set loses the copy, the gauge frees its bytes, and the eviction
-// counters grow. The floor guard in pickVictim guarantees the file keeps
-// enough copies, so eviction never fires the repair hook.
+// counters grow. Only evictable residents are victims, so the file keeps
+// enough copies and eviction never fires the repair hook.
 func (c *Catalog) evictReplica(se *seState, name string) {
 	f := se.files[name]
 	se.evictions++
 	se.evictedMB += f.sizeMB
 	delete(se.files, name)
+	delete(se.evictable, name)
 	se.gauge.Remove(f.sizeMB)
 	c.dropReplica(name, se.site)
 }

@@ -498,9 +498,16 @@ func (s *Spec) errAt(token, format string, args ...any) error {
 // largest library world has 8 grids.
 const maxGrids = 1024
 
+// maxWaves bounds the failure waves a spec may generate: FailureWaves
+// draws and appends up to one outage per member grid per wave, so with
+// maxGrids it bounds the schedule. The library's flaky-grids world has 3.
+const maxWaves = 1000
+
 // maxTenants and maxJobs bound the tenants a spec's groups expand to and
-// their jobs (tenants × items). The largest library world, metropolis,
-// has 2000 tenants and 100k jobs.
+// their jobs (tenants × items × stages: every item runs one job per
+// stage). The largest worlds run are metropolis (2000 tenants, 100k jobs)
+// and perfbench's wan-deep (contended-wan at 96 tenants × 400 items × 3
+// stages, 115,200 jobs).
 const (
 	maxTenants = 20_000
 	maxJobs    = 1_000_000
@@ -617,6 +624,8 @@ func (s *Spec) Validate() error {
 		switch {
 		case w.Waves <= 0:
 			return s.errAt("waves", "waves.waves must be positive")
+		case w.Waves > maxWaves:
+			return s.errAt("waves", "waves.waves %d is more than %d waves", w.Waves, maxWaves)
 		case w.Spacing <= 0:
 			return s.errAt("spacing", "waves.spacing must be positive")
 		case w.Fraction <= 0 || w.Fraction > 1:
@@ -687,10 +696,11 @@ func (s *Spec) Validate() error {
 		if err := s.validateWorkload(g, gridSet); err != nil {
 			return err
 		}
-		if g.Workload.Items > (maxJobs-jobs)/n {
-			return s.errAt(g.Prefix, "tenant groups expand to more than %d jobs (tenants × items)", maxJobs)
+		w := g.Workload
+		if w.Items > (maxJobs-jobs)/n || w.Stages > (maxJobs-jobs)/(n*w.Items) {
+			return s.errAt(g.Prefix, "tenant groups expand to more than %d jobs (tenants × items × stages)", maxJobs)
 		}
-		jobs += n * g.Workload.Items
+		jobs += n * w.Items * w.Stages
 		if a := g.Adapt; a != nil && a.Interval <= 0 {
 			return s.errAt(g.Prefix, "tenant group %q adapt interval must be positive", g.Prefix)
 		}

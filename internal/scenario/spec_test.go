@@ -151,6 +151,11 @@ func TestSpecRejectsWorldErrors(t *testing.T) {
 		`"links": {"local": true},
   "waves": {"waves": 2, "spacing": "10m", "fraction": 1.5, "duration": "5m"},`),
 		"fraction", "waves.fraction 1.5 outside (0, 1]")
+	// The wave count is bounded before FailureWaves loops over it.
+	mustReject(t, edit(t, `"links": {"local": true},`,
+		`"links": {"local": true},
+  "waves": {"waves": 1000000000, "spacing": "10m", "fraction": 0.5, "duration": "5m"},`),
+		"waves", "waves.waves 1000000000 is more than 1000 waves")
 	mustReject(t, edit(t, `"links": {"local": true},`,
 		`"links": {"local": true}, "admission": {"maxUIBacklog": 0, "retry": "1m"},`),
 		"admission", "admission.maxUIBacklog must be positive")
@@ -199,6 +204,12 @@ func TestSpecRejectsTenantErrors(t *testing.T) {
 		`"prefix": "t", "count": 1000000000, "policy": "p",`),
 		"t", "more than 20000 tenants")
 	mustReject(t, edit(t, `"stages": 1, "items": 2,`, `"stages": 1, "items": 500001,`),
+		"t", "more than 1000000 jobs")
+	// Every item runs one job per stage: a deep pipeline over few items
+	// used to pass the bound and build a billion wrappers.
+	mustReject(t, edit(t, `"stages": 1, "items": 2,`, `"stages": 1000000000, "items": 2,`),
+		"t", "more than 1000000 jobs (tenants × items × stages)")
+	mustReject(t, edit(t, `"stages": 1, "items": 2,`, `"stages": 250001, "items": 2,`),
 		"t", "more than 1000000 jobs")
 	mustReject(t, edit(t, `"kind": "staggered", "spread": "30s"`, `"kind": "sometimes"`),
 		"sometimes", `unknown arrival kind "sometimes"`)

@@ -119,6 +119,9 @@ func Parse(data []byte, opts Options) (*workflow.Workflow, error) {
 	if err := xml.Unmarshal(data, &doc); err != nil {
 		return nil, fmt.Errorf("scufl: %w", err)
 	}
+	if err := doc.checkNames(); err != nil {
+		return nil, err
+	}
 	w := workflow.New(doc.Name)
 	for _, s := range doc.Sources {
 		w.AddSource(s.Name)
@@ -178,6 +181,38 @@ func Parse(data []byte, opts Options) (*workflow.Workflow, error) {
 		return nil, err
 	}
 	return w, nil
+}
+
+// checkNames rejects empty and duplicate names across sources, sinks and
+// processors, which workflow.Add treats as programming errors.
+func (doc *scuflXML) checkNames() error {
+	seen := make(map[string]bool)
+	claim := func(kind, name string) error {
+		if name == "" {
+			return fmt.Errorf("scufl: %s with an empty name", kind)
+		}
+		if seen[name] {
+			return fmt.Errorf("scufl: duplicate processor name %q", name)
+		}
+		seen[name] = true
+		return nil
+	}
+	for _, s := range doc.Sources {
+		if err := claim("source", s.Name); err != nil {
+			return err
+		}
+	}
+	for _, s := range doc.Sinks {
+		if err := claim("sink", s.Name); err != nil {
+			return err
+		}
+	}
+	for _, p := range doc.Processors {
+		if err := claim("processor", p.Name); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // bindService resolves the processor's service: an embedded wrapper when

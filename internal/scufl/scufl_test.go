@@ -94,8 +94,8 @@ func TestParsedWorkflowRuns(t *testing.T) {
 	}
 }
 
-func TestParseEmbeddedWrapper(t *testing.T) {
-	doc := `<scufl name="wrapped">
+// wrappedDoc embeds a wrapper descriptor in its one processor.
+const wrappedDoc = `<scufl name="wrapped">
   <source name="images"/>
   <processor name="convert">
     <inport name="in"/>
@@ -115,9 +115,11 @@ func TestParseEmbeddedWrapper(t *testing.T) {
   <link from="images:out" to="convert:in"/>
   <link from="convert:out" to="results:in"/>
 </scufl>`
+
+func TestParseEmbeddedWrapper(t *testing.T) {
 	eng := sim.NewEngine()
 	g := grid.New(eng, grid.IdealConfig(4))
-	w, err := Parse([]byte(doc), Options{Grid: g})
+	w, err := Parse([]byte(wrappedDoc), Options{Grid: g})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,21 +149,26 @@ func TestParseEmbeddedWrapper(t *testing.T) {
 	}
 }
 
+// parseErrorCases are documents Parse rejects, each with a fragment of
+// the expected error; "bad runtime" needs a grid to get that far.
+var parseErrorCases = []struct {
+	name, doc, want string
+}{
+	{"malformed xml", "<scufl><processor", "scufl"},
+	{"unknown service", `<scufl><source name="s"/><processor name="X"><inport name="in"/></processor><link from="s:out" to="X:in"/></scufl>`, "no service"},
+	{"bad strategy", `<scufl><source name="s"/><processor name="P1" strategy="zig(a"><inport name="in"/></processor><link from="s:out" to="P1:in"/></scufl>`, "P1"},
+	{"bad link ref", `<scufl><source name="s"/><processor name="P1"><inport name="in"/></processor><link from="sout" to="P1:in"/></scufl>`, "malformed port reference"},
+	{"wrapper without grid", `<scufl><source name="s"/><processor name="W"><inport name="in"/><wrapper runtime="1s"><description><executable name="x"><input name="in" option="-i"/></executable></description></wrapper></processor><link from="s:out" to="W:in"/></scufl>`, "no grid"},
+	{"bad runtime", `<scufl><source name="s"/><processor name="W"><inport name="in"/><wrapper runtime="fast"><description><executable name="x"><input name="in" option="-i"/></executable></description></wrapper></processor><link from="s:out" to="W:in"/></scufl>`, "bad runtime"},
+	{"invalid workflow", `<scufl><processor name="P1"><inport name="in"/></processor></scufl>`, "not fed"},
+	{"unnamed source", `<scufl><source/></scufl>`, "source with an empty name"},
+	{"duplicate name", `<scufl><source name="P1"/><processor name="P1"><inport name="in"/></processor><link from="P1:out" to="P1:in"/></scufl>`, `duplicate processor name "P1"`},
+}
+
 func TestParseErrors(t *testing.T) {
 	eng := sim.NewEngine()
 	reg := echoRegistry(eng, "P1")
-	cases := []struct {
-		name, doc, want string
-	}{
-		{"malformed xml", "<scufl><processor", "scufl"},
-		{"unknown service", `<scufl><source name="s"/><processor name="X"><inport name="in"/></processor><link from="s:out" to="X:in"/></scufl>`, "no service"},
-		{"bad strategy", `<scufl><source name="s"/><processor name="P1" strategy="zig(a"><inport name="in"/></processor><link from="s:out" to="P1:in"/></scufl>`, "P1"},
-		{"bad link ref", `<scufl><source name="s"/><processor name="P1"><inport name="in"/></processor><link from="sout" to="P1:in"/></scufl>`, "malformed port reference"},
-		{"wrapper without grid", `<scufl><source name="s"/><processor name="W"><inport name="in"/><wrapper runtime="1s"><description><executable name="x"><input name="in" option="-i"/></executable></description></wrapper></processor><link from="s:out" to="W:in"/></scufl>`, "no grid"},
-		{"bad runtime", `<scufl><source name="s"/><processor name="W"><inport name="in"/><wrapper runtime="fast"><description><executable name="x"><input name="in" option="-i"/></executable></description></wrapper></processor><link from="s:out" to="W:in"/></scufl>`, "bad runtime"},
-		{"invalid workflow", `<scufl><processor name="P1"><inport name="in"/></processor></scufl>`, "not fed"},
-	}
-	for _, c := range cases {
+	for _, c := range parseErrorCases {
 		opts := Options{Registry: reg}
 		if strings.Contains(c.name, "bad runtime") {
 			eng2 := sim.NewEngine()
