@@ -12,6 +12,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/campaign"
 	"repro/internal/sim"
 )
 
@@ -25,7 +26,7 @@ var update = flag.Bool("update", false, "rewrite the scenario library fingerprin
 const libraryGolden = "testdata/library.golden"
 
 // readLibraryGolden loads the pinned fingerprints by spec file name.
-func readLibraryGolden(t *testing.T) map[string]uint64 {
+func readLibraryGolden(t testing.TB) map[string]uint64 {
 	t.Helper()
 	data, err := os.ReadFile(libraryGolden)
 	if err != nil {
@@ -49,7 +50,7 @@ func readLibraryGolden(t *testing.T) map[string]uint64 {
 }
 
 // writeLibraryGolden records the fingerprints in file-name order.
-func writeLibraryGolden(t *testing.T, pins map[string]uint64) {
+func writeLibraryGolden(t testing.TB, pins map[string]uint64) {
 	t.Helper()
 	names := make([]string, 0, len(pins))
 	for name := range pins {
@@ -70,7 +71,7 @@ func writeLibraryGolden(t *testing.T, pins map[string]uint64) {
 
 // libraryPaths returns every spec of the shipped scenario library,
 // failing the test if the library shrank below its advertised size.
-func libraryPaths(t *testing.T) []string {
+func libraryPaths(t testing.TB) []string {
 	t.Helper()
 	paths, err := filepath.Glob("../../scenarios/*.json")
 	if err != nil {
@@ -98,8 +99,9 @@ func scaleSpec(spec *Spec) bool {
 }
 
 // runLibrarySpec loads, compiles and runs one library spec on a fresh
-// engine, failing on any tenant error, and returns the run fingerprint.
-func runLibrarySpec(t *testing.T, path string) uint64 {
+// engine, failing on any tenant error, and returns the run fingerprint
+// and the campaign report.
+func runLibrarySpec(t testing.TB, path string) (uint64, *campaign.Report) {
 	t.Helper()
 	spec, err := Load(path)
 	if err != nil {
@@ -128,7 +130,7 @@ func runLibrarySpec(t *testing.T, path string) uint64 {
 			t.Fatalf("tenant %s: %v", tr.Name, tr.Err)
 		}
 	}
-	return Fingerprint(rep, w.Fed)
+	return Fingerprint(rep, w.Fed), rep
 }
 
 // TestScenarioLibraryDeterminism is the per-scenario golden gate: every
@@ -145,11 +147,10 @@ func TestScenarioLibraryDeterminism(t *testing.T) {
 	}
 	paths := libraryPaths(t)
 	for _, path := range paths {
-		path := path
 		base := filepath.Base(path)
 		t.Run(base, func(t *testing.T) {
-			first := runLibrarySpec(t, path)
-			if again := runLibrarySpec(t, path); again != first {
+			first, _ := runLibrarySpec(t, path)
+			if again, _ := runLibrarySpec(t, path); again != first {
 				t.Fatalf("scenario not deterministic: %#x vs %#x", first, again)
 			}
 			if *update {
@@ -175,6 +176,32 @@ func TestScenarioLibraryDeterminism(t *testing.T) {
 	if len(pins) != len(paths) {
 		t.Errorf("%s pins %d specs, the library has %d", libraryGolden, len(pins), len(paths))
 	}
+}
+
+// BenchmarkScenarioLibrary times every spec of the shipped library, one
+// sub-benchmark per file. Each iteration compiles, starts and runs the
+// spec and fails unless its fingerprint equals the spec's pin, so every
+// timing is of the pinned computation. jobs reports the terminal job
+// count and sim_s the campaign span.
+func BenchmarkScenarioLibrary(b *testing.B) {
+	pins := readLibraryGolden(b)
+	for _, path := range libraryPaths(b) {
+		b.Run(filepath.Base(path), func(b *testing.B) { benchLibrarySpec(b, path, pins) })
+	}
+}
+
+// benchLibrarySpec is one BenchmarkScenarioLibrary case.
+func benchLibrarySpec(b *testing.B, path string, pins map[string]uint64) {
+	want := pins[filepath.Base(path)]
+	var rep *campaign.Report
+	for i := 0; i < b.N; i++ {
+		var fp uint64
+		if fp, rep = runLibrarySpec(b, path); fp != want {
+			b.Fatalf("fingerprint %#016x, pinned %#016x: behaviour drifted", fp, want)
+		}
+	}
+	b.ReportMetric(float64(rep.Global.Jobs+rep.Global.Failed), "jobs")
+	b.ReportMetric(rep.Makespan.Seconds(), "sim_s")
 }
 
 // TestScenarioLibraryLoads pins the library's metadata: every spec
