@@ -14,7 +14,8 @@
 // that run federated campaigns (cmd/federation, cmd/moteurd) take their
 // world only from a scenario file under scenarios/.
 //
-// This package holds only the repository-level benchmarks (the paper's
-// tables, enactor and campaign scaling, the federation tiers) and their
-// allocation guard.
+// This package holds only the repository-level benchmarks: the paper's
+// tables and figures, the ablations, and enactor, campaign and grid
+// scaling. Federation benchmarks run the scenario library instead
+// (BenchmarkScenarioLibrary in internal/scenario), pinned per spec.
 package moteur

@@ -204,6 +204,30 @@ func benchLibrarySpec(b *testing.B, path string, pins map[string]uint64) {
 	b.ReportMetric(rep.Makespan.Seconds(), "sim_s")
 }
 
+// TestScenarioLibraryAllocBudget is the allocation regression gate of
+// the federation hot paths, end to end from spec load to settlement: it
+// runs BenchmarkScenarioLibrary's contended-wan.json case and fails
+// above 64 heap allocations per job (58 measured, plus 10% headroom).
+func TestScenarioLibraryAllocBudget(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation budget gate runs a full library benchmark case")
+	}
+	pins := readLibraryGolden(t)
+	res := testing.Benchmark(func(b *testing.B) {
+		benchLibrarySpec(b, "../../scenarios/contended-wan.json", pins)
+	})
+	jobs := res.Extra["jobs"]
+	if jobs <= 0 {
+		t.Fatalf("benchmark reported no jobs metric: %v", res)
+	}
+	const budget = 64.0
+	perJob := float64(res.AllocsPerOp()) / jobs
+	if perJob > budget {
+		t.Fatalf("contended-wan allocates %.1f objects per job (budget %.0f): the hot-path pooling regressed", perJob, budget)
+	}
+	t.Logf("contended-wan: %.1f allocs/job (budget %.0f)", perJob, budget)
+}
+
 // TestScenarioLibraryLoads pins the library's metadata: every spec
 // parses, validates, and names itself after its file — so the sweep
 // table rows and the file listing stay in one-to-one correspondence.
