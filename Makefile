@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet lint scenarios daemon-smoke perfbench bench campaign-bench federation-bench locality-bench wan-bench storage-bench scale-bench clean help
+.PHONY: all build test vet lint scenarios daemon-smoke perfbench bench clean help
 
 all: vet lint build test
 
@@ -67,61 +67,17 @@ daemon-smoke:
 perfbench:
 	bash perfbench/run.sh --workload all --seconds 1
 
-# Full benchmark suite (paper tables, ablations, enactor scaling) with
-# allocation stats; the raw output is kept for cross-change comparison.
+# Every Go benchmark of the module with allocation stats, printed to
+# stdout: the paper tables and ablations, enactor, campaign and grid
+# scaling at the root, and BenchmarkScenarioLibrary in
+# internal/scenario, which runs each scenarios/*.json spec and fails
+# unless every iteration reproduces the spec's pinned fingerprint.
 bench:
-	$(GO) test -bench . -benchmem -run '^$$' . | tee BENCH_1.json
+	$(GO) test -run '^$$' -bench . -benchmem ./...
 
-# Multi-tenant campaign benchmark (32 tenants on one shared grid); two
-# iterations so the in-benchmark determinism assertion actually compares
-# runs.
-campaign-bench:
-	$(GO) test -bench BenchmarkCampaignScale -benchmem -benchtime 2x -run '^$$' . | tee BENCH_2.json
-
-# Federated brokering benchmark (16 tenants brokered across 4
-# heterogeneous grids by the overhead-ranked policy, cross-grid
-# re-brokering on); two iterations so the in-benchmark determinism
-# assertion compares dispatch schedules across runs.
-federation-bench:
-	$(GO) test -bench BenchmarkFederationScale -benchmem -benchtime 2x -run '^$$' . | tee BENCH_3.json
-
-# Locality-aware federated brokering benchmark (16 tenants with
-# grid-resident inputs across 4 heterogeneous grids, default WAN link
-# model, locality-aware ranked policy); two iterations so the in-benchmark
-# determinism assertion compares makespans, dispatch schedules and WAN
-# byte counts across runs.
-locality-bench:
-	$(GO) test -bench BenchmarkFederationLocality -benchmem -benchtime 2x -run '^$$' . | tee BENCH_4.json
-
-# Contended WAN fabric benchmark (the locality scenario with two
-# concurrent fetch legs per grid pair); two iterations so the in-benchmark
-# determinism assertion compares makespans, WAN byte counts and per-grid
-# WAN-wait seconds across runs.
-wan-bench:
-	$(GO) test -bench BenchmarkFederationContention -benchmem -benchtime 2x -run '^$$' . | tee BENCH_5.json
-
-# Active-storage churn benchmark (finite storage elements, popularity
-# eviction, k=2 replication repair, correlated storage outages); two
-# iterations so the in-benchmark determinism assertion compares dispatch
-# schedules, eviction totals and repair counts across runs.
-storage-bench:
-	$(GO) test -bench BenchmarkStorageChurn -benchmem -benchtime 2x -run '^$$' . | tee BENCH_6.json
-
-# Metropolis-scale benchmark: 100k outputless jobs across 8 heterogeneous
-# grids in 200 submission waves on the single serial engine; the
-# benchmark itself fails unless every iteration reproduces the pinned
-# result fingerprint, so the timing is always of the same computation.
-scale-bench:
-	$(GO) test -bench BenchmarkFederationMetropolis -benchmem -benchtime 2x -run '^$$' . | tee BENCH_9.json
-
-# Remove build outputs and the untracked BENCH_*.json a bench target
-# wrote; committed BENCH files are the recorded history and stay.
+# Remove build outputs.
 clean:
 	rm -rf bin .bench_build
-	@for f in BENCH_*.json; do \
-		[ -e "$$f" ] || continue; \
-		git ls-files --error-unmatch "$$f" >/dev/null 2>&1 || rm -f "$$f"; \
-	done
 
 help:
 	@echo "Targets:"
@@ -133,11 +89,5 @@ help:
 	@echo "  scenarios        run the scenarios/*.json library, one results row each"
 	@echo "  daemon-smoke     boot moteurd, submit over HTTP, scrape /metrics, snapshot"
 	@echo "  perfbench        every perfbench workload for 1s; fails on a pin or audit"
-	@echo "  bench            full paper suite                      -> BENCH_1.json"
-	@echo "  campaign-bench   32-tenant shared-grid campaign        -> BENCH_2.json"
-	@echo "  federation-bench 4 grids x 16 tenants, ranked broker   -> BENCH_3.json"
-	@echo "  locality-bench   skewed replicas over a WAN, ranked    -> BENCH_4.json"
-	@echo "  wan-bench        contended per-pair WAN channels       -> BENCH_5.json"
-	@echo "  storage-bench    SE capacity churn, eviction, repair   -> BENCH_6.json"
-	@echo "  scale-bench      100k jobs x 8 grids, serial engine    -> BENCH_9.json"
-	@echo "  clean            remove bin/ and untracked BENCH_*.json outputs"
+	@echo "  bench            every Go benchmark (paper suite, scaling, scenario library)"
+	@echo "  clean            remove bin/ and .bench_build/"
