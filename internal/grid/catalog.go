@@ -51,7 +51,7 @@ type Catalog struct {
 	// All of it is inert until a storage element is configured or a grid
 	// goes dark, which is what keeps the location-blind paths (and their
 	// goldens) bit-identical.
-	storage   map[string]*seState
+	storage   map[Site]*seState
 	gridDark  map[string]bool
 	darkGrids int
 	floor     int
@@ -154,8 +154,7 @@ func (c *Catalog) AddReplica(name string, site Site) bool {
 	if !ok {
 		return false
 	}
-	key := site.key()
-	i := sort.Search(len(e.reps), func(i int) bool { return e.reps[i].Site.key() >= key })
+	i := sort.Search(len(e.reps), func(i int) bool { return e.reps[i].Site.compare(site) >= 0 })
 	if i < len(e.reps) && e.reps[i].Site == site {
 		return true
 	}
@@ -177,8 +176,7 @@ func (c *Catalog) dropReplica(name string, site Site) bool {
 	if !ok {
 		return false
 	}
-	key := site.key()
-	i := sort.Search(len(e.reps), func(i int) bool { return e.reps[i].Site.key() >= key })
+	i := sort.Search(len(e.reps), func(i int) bool { return e.reps[i].Site.compare(site) >= 0 })
 	if i >= len(e.reps) || e.reps[i].Site != site {
 		return false
 	}

@@ -80,8 +80,8 @@ func linearDrain(c *Catalog, se *seState, name string, sizeMB float64, reregiste
 func checkEvictable(t *testing.T, c *Catalog, op int) (withVictim int) {
 	t.Helper()
 	floor := c.floorOr1()
-	for _, key := range sortedKeys(c.storage) {
-		se := c.storage[key]
+	for _, st := range c.SEStats() {
+		se := c.storage[st.Site]
 		for _, name := range sortedKeys(se.files) {
 			want := len(c.files[name].reps) > floor
 			f, got := se.evictable[name]
@@ -158,7 +158,7 @@ func TestEvictableIndexMatchesLinearScan(t *testing.T) {
 							if add && r.Intn(8) == 0 {
 								site = Site{}
 							}
-							se := c.storage[site.key()]
+							se := c.storage[site]
 							sizeMB := float64(5 + r.Intn(21))
 							if add {
 								sizeMB, _ = c.Lookup(name)

@@ -1,6 +1,10 @@
 package grid
 
-import "time"
+import (
+	"cmp"
+	"strings"
+	"time"
+)
 
 // Site identifies a storage location: a computing element's close storage
 // element within a named grid. The zero Site is the "unplaced" location of
@@ -22,8 +26,11 @@ type Site struct {
 // IsZero reports whether the site is the unplaced location.
 func (s Site) IsZero() bool { return s == Site{} }
 
-// key returns the site's deterministic ordering key.
-func (s Site) key() string { return s.Grid + "\x00" + s.Cluster }
+// compare orders sites by grid, then cluster: the deterministic order of
+// replica sets and storage-element listings.
+func (s Site) compare(o Site) int {
+	return cmp.Or(strings.Compare(s.Grid, o.Grid), strings.Compare(s.Cluster, o.Cluster))
+}
 
 // String renders the site as "grid/cluster" ("(unplaced)" for the zero
 // site).

@@ -55,6 +55,22 @@ func TestCatalogReplicaSets(t *testing.T) {
 	if c.Replicas("ghost") != nil {
 		t.Fatal("Replicas of an unregistered name must be nil")
 	}
+
+	// Prefix-related sites inserted out of order come back in (grid, then
+	// cluster) order from Replicas and SEStats alike.
+	sites := []Site{{Grid: "g1"}, {Grid: "g1", Cluster: "a"}, {Grid: "g10"}}
+	for _, i := range []int{2, 0, 1} {
+		c.ConfigureSE(sites[i], 100, nil)
+	}
+	c.RegisterAt("p", 1, sites[2])
+	c.AddReplica("p", sites[0])
+	c.AddReplica("p", sites[1])
+	reps, stats := c.Replicas("p"), c.SEStats()
+	for i, want := range sites {
+		if len(reps) != len(sites) || len(stats) != len(sites) || reps[i].Site != want || stats[i].Site != want {
+			t.Fatalf("replicas %v, elements %v: want site order %v", reps, stats, sites)
+		}
+	}
 }
 
 func TestCatalogNamesDeterministic(t *testing.T) {

@@ -1,6 +1,7 @@
 package grid
 
 import (
+	"slices"
 	"sort"
 
 	"repro/internal/sim"
@@ -133,13 +134,12 @@ func (c *Catalog) ConfigureSE(site Site, capacityMB float64, policy EvictionPoli
 		policy = EvictLRU()
 	}
 	if c.storage == nil {
-		c.storage = make(map[string]*seState)
+		c.storage = make(map[Site]*seState)
 	}
-	key := site.key()
-	se, ok := c.storage[key]
+	se, ok := c.storage[site]
 	if !ok {
 		se = &seState{site: site, files: make(map[string]*seFile), evictable: make(map[string]*seFile)}
-		c.storage[key] = se
+		c.storage[site] = se
 		// Adopt replicas already pinned at the site, in lexical name order
 		// so the gauge's floating-point accumulation is deterministic.
 		for _, name := range c.Names() {
@@ -298,7 +298,7 @@ func (c *Catalog) addResident(name string, sizeMB float64, site Site) {
 	if len(c.storage) == 0 || site.IsZero() {
 		return
 	}
-	se := c.storage[site.key()]
+	se := c.storage[site]
 	if se == nil {
 		return
 	}
@@ -316,7 +316,7 @@ func (c *Catalog) removeResident(name string, site Site) {
 	if len(c.storage) == 0 || site.IsZero() {
 		return
 	}
-	se := c.storage[site.key()]
+	se := c.storage[site]
 	if se == nil {
 		return
 	}
@@ -340,7 +340,7 @@ func (c *Catalog) refile(name string, e *catEntry) {
 	}
 	evictable := len(e.reps) > c.floorOr1()
 	for _, r := range e.reps {
-		se := c.storage[r.Site.key()]
+		se := c.storage[r.Site]
 		if se == nil {
 			continue
 		}
@@ -410,7 +410,7 @@ func (c *Catalog) touch(name string, rep Replica) {
 	if len(c.storage) == 0 || rep.Site.IsZero() {
 		return
 	}
-	se := c.storage[rep.Site.key()]
+	se := c.storage[rep.Site]
 	if se == nil {
 		return
 	}
@@ -458,7 +458,7 @@ func (c *Catalog) LiveReplicas(name string) []Replica {
 // decisions — repair targeting reads it per candidate grid without
 // materializing the full SEStats slice.
 func (c *Catalog) SEUsedMB(site Site) float64 {
-	se, ok := c.storage[site.key()]
+	se, ok := c.storage[site]
 	if !ok {
 		return 0
 	}
@@ -469,8 +469,8 @@ func (c *Catalog) SEUsedMB(site Site) float64 {
 // element, in deterministic site order.
 func (c *Catalog) SEStats() []SEStat {
 	out := make([]SEStat, 0, len(c.storage))
-	for _, key := range sortedKeys(c.storage) {
-		se := c.storage[key]
+	//moteur:orderinvariant the stats are sorted by site right after
+	for _, se := range c.storage {
 		out = append(out, SEStat{
 			Site:       se.site,
 			CapacityMB: se.gauge.Capacity(),
@@ -481,6 +481,7 @@ func (c *Catalog) SEStats() []SEStat {
 			EvictedMB:  se.evictedMB,
 		})
 	}
+	slices.SortFunc(out, func(a, b SEStat) int { return a.Site.compare(b.Site) })
 	return out
 }
 
